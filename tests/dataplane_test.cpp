@@ -3,8 +3,9 @@
 // bundled NF's compiled table, compiled-vs-interpreter equivalence over
 // edge-case and random batches for the whole corpus (with and without
 // config specialization), golden compiled-table dumps for
-// nat/firewall/snort_lite (NFACTOR_UPDATE_GOLDEN=1 regenerates), and
-// byte-identity of the dump across SE worker widths.
+// nat/firewall/snort_lite and golden threaded code for every corpus NF
+// (NFACTOR_UPDATE_GOLDEN=1 regenerates both), and byte-identity of the
+// dumps across SE worker widths.
 #include "dataplane/engine.h"
 
 #include <gtest/gtest.h>
@@ -499,9 +500,12 @@ TEST(DataplaneSemantics, ConfigSpecializationFoldsAndCompiles) {
 
 bool update_mode() { return std::getenv("NFACTOR_UPDATE_GOLDEN") != nullptr; }
 
-std::string golden_path(const std::string& nf) {
+/// tests/golden/dataplane/<nf><suffix>: ".txt" holds the table dump,
+/// ".threaded.txt" the threaded code the engine executes.
+std::string golden_path(const std::string& nf,
+                        const std::string& suffix = ".txt") {
   return std::string(NFACTOR_SOURCE_DIR) + "/tests/golden/dataplane/" + nf +
-         ".txt";
+         suffix;
 }
 
 std::string read_file(const std::string& path, bool* ok) {
@@ -576,6 +580,31 @@ TEST_P(DataplaneGolden, ThreadedDumpIdenticalAcrossJobs) {
   EXPECT_EQ(d1, threaded_dump(nf, 4)) << nf;
   EXPECT_NE(d1.find("# nfactor dataplane threaded v1"), std::string::npos);
 }
+
+/// Golden threaded code for every corpus NF: the program the engine
+/// actually executes, pinned op for op.
+class DataplaneThreadedGolden
+    : public ::testing::TestWithParam<nfs::CorpusEntry> {};
+
+TEST_P(DataplaneThreadedGolden, DumpMatchesGolden) {
+  const std::string nf(GetParam().name);
+  const std::string path = golden_path(nf, ".threaded.txt");
+  const std::string dump = threaded_dump(nf, /*jobs=*/1);
+  if (update_mode()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << dump;
+    return;
+  }
+  bool ok = false;
+  const std::string expected = read_file(path, &ok);
+  ASSERT_TRUE(ok) << "missing golden " << path
+                  << " (run with NFACTOR_UPDATE_GOLDEN=1 to create)";
+  EXPECT_EQ(expected, dump) << "golden mismatch for " << path;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNfs, DataplaneThreadedGolden,
+                         ::testing::ValuesIn(nfs::corpus()), corpus_name);
 
 // ---------------------------------------------------------------------------
 // Payload scan: memchr-hop vs Boyer–Moore–Horspool
