@@ -1,11 +1,9 @@
 // Dataplane engine throughput: compile every corpus NF's synthesized
 // model (docs/dataplane.md) and push multi-million-packet batches
-// through both execution tiers — tier 1's flattened-FDD table walk and
-// tier 2's threaded code — next to the model interpreter processing the
-// same traffic packet-by-packet. Emits dataplane.<nf>.pps,
-// dataplane.<nf>.ns_per_packet, and dataplane.<nf>.threaded_ns_per_packet
-// gauges — the snort_lite/dpi values feed the CI perf-smoke gate
-// (bench/perf_baseline.json).
+// through the engine's threaded code, next to the model interpreter
+// processing the same traffic packet-by-packet. Emits dataplane.<nf>.pps
+// and dataplane.<nf>.ns_per_packet gauges — the snort_lite/dpi values
+// feed the CI perf-smoke gate (bench/perf_baseline.json).
 //
 // Also here: the shard sweep (ShardedDataplane at 1/2/4/8 shards,
 // dataplane.<nf>.shards<N>.pps) and the payload-scan microbench that
@@ -19,7 +17,6 @@
 #include "bench/bench_util.h"
 #include "dataplane/engine.h"
 #include "dataplane/sharded.h"
-#include "dataplane/threaded.h"
 #include "model/interp.h"
 #include "netsim/packet_gen.h"
 
@@ -78,15 +75,11 @@ const std::vector<netsim::Packet>& pool() {
 
 void report() {
   std::printf("Compiled dataplane vs model interpreter (%d-packet batches, "
-              "%.1fM packets/NF/tier, dispatch: %s)\n",
-              kPoolSize, kPoolSize * kBatchRounds / 1e6,
-              dataplane::threaded_dispatch_is_computed_goto()
-                  ? "computed goto"
-                  : "switch loop");
+              "%.1fM packets/NF)\n",
+              kPoolSize, kPoolSize * kBatchRounds / 1e6);
   benchutil::rule('=');
-  std::printf("%-12s | %5s | %9s | %11s | %10s | %10s | %6s | %6s\n", "NF",
-              "nodes", "preds", "interp ns/p", "tier1 ns/p", "tier2 ns/p",
-              "t1 x", "t2/t1");
+  std::printf("%-12s | %5s | %9s | %11s | %11s | %7s\n", "NF", "nodes",
+              "preds", "interp ns/p", "engine ns/p", "speedup");
   benchutil::rule();
   for (const auto& e : nfs::corpus()) {
     const std::string nf(e.name);
@@ -105,68 +98,46 @@ void report() {
         kInterpPackets;
 
     dataplane::DataplaneEngine eng(c.table, c.store);
-    dataplane::DataplaneEngine thr(
-        c.table, c.store, dataplane::EngineOptions{dataplane::Tier::kThreaded});
-    // The two tiers are timed *interleaved*, one batch each per round:
-    // container CPU-frequency drift between two back-to-back phases was
-    // measurably larger than the tier delta itself, and interleaving
-    // cancels it out of the t2/t1 ratio.
-    dataplane::BatchOutput out1;
-    dataplane::BatchOutput out2;
-    eng.execute_batch(pool(), out1);  // warm-up: constructs the send slots
-    thr.execute_batch(pool(), out2);
-    double t1_total = 0;
-    double t2_total = 0;
+    dataplane::BatchOutput out;
+    eng.execute_batch(pool(), out);  // warm-up: constructs the send slots
+    const auto b0 = Clock::now();
     for (int round = 0; round < kBatchRounds; ++round) {
-      out1.clear();
-      const auto a = Clock::now();
-      eng.execute_batch(pool(), out1);
-      benchmark::DoNotOptimize(out1.matched.data());
-      const auto b = Clock::now();
-      out2.clear();
-      thr.execute_batch(pool(), out2);
-      benchmark::DoNotOptimize(out2.matched.data());
-      const auto d = Clock::now();
-      t1_total += std::chrono::duration<double, std::nano>(b - a).count();
-      t2_total += std::chrono::duration<double, std::nano>(d - b).count();
+      out.clear();
+      eng.execute_batch(pool(), out);
+      benchmark::DoNotOptimize(out.matched.data());
     }
-    const double per_packet = static_cast<double>(kPoolSize) * kBatchRounds;
-    const double compiled_ns = t1_total / per_packet;
-    const double threaded_ns = t2_total / per_packet;
-    const double pps = 1e9 / compiled_ns;
+    const auto b1 = Clock::now();
+    const double compiled_ns =
+        std::chrono::duration<double, std::nano>(b1 - b0).count() /
+        (static_cast<double>(kPoolSize) * kBatchRounds);
 
     char preds[16];
     std::snprintf(preds, sizeof preds, "%zu/%zu", c.table.compiled_preds,
                   c.table.preds.size());
-    std::printf("%-12s | %5zu | %9s | %11.1f | %10.1f | %10.1f | %5.1fx | "
-                "%5.2fx\n",
+    std::printf("%-12s | %5zu | %9s | %11.1f | %11.1f | %6.1fx\n",
                 nf.c_str(), c.table.nodes.size(), preds, interp_ns, compiled_ns,
-                threaded_ns, interp_ns / compiled_ns,
-                compiled_ns / threaded_ns);
+                interp_ns / compiled_ns);
 
-    OBS_GAUGE("dataplane." + nf + ".pps", pps);
+    OBS_GAUGE("dataplane." + nf + ".pps", 1e9 / compiled_ns);
     OBS_GAUGE("dataplane." + nf + ".ns_per_packet", compiled_ns);
-    OBS_GAUGE("dataplane." + nf + ".threaded_ns_per_packet", threaded_ns);
-    OBS_GAUGE("dataplane." + nf + ".threaded_pps", 1e9 / threaded_ns);
     OBS_GAUGE("dataplane." + nf + ".interp_ns_per_packet", interp_ns);
     OBS_GAUGE("dataplane." + nf + ".speedup", interp_ns / compiled_ns);
   }
   benchutil::rule();
-  std::printf("interp = ModelInterpreter::process per packet; tier1 = table\n"
-              "walk, tier2 = threaded code, one execute_batch per %d packets.\n"
-              "t2/t1 = table-walk ns over threaded ns (higher = tier 2 wins).\n"
+  std::printf("interp = ModelInterpreter::process per packet; engine =\n"
+              "threaded code, one execute_batch per %d packets.\n"
               "Stateful NFs mutate real per-flow state throughout the run.\n\n",
               kPoolSize);
 }
 
-/// Shard sweep: aggregate throughput of ShardedDataplane (threaded tier)
-/// at 1/2/4/8 shards. Aggregate pps counts every input packet once; the
+/// Shard sweep: aggregate throughput of ShardedDataplane at 1/2/4/8
+/// shards. Aggregate pps counts every input packet once; the
 /// per-batch partition/scatter cost is included, so shards=1 is slightly
 /// below the raw single-engine number. Scaling beyond 1x needs real
 /// cores — on a single-core container the sweep only measures pool
 /// overhead (see docs/dataplane.md).
 void shard_sweep() {
-  std::printf("Sharded pipeline sweep (threaded tier, %d-packet batches, "
+  std::printf("Sharded pipeline sweep (%d-packet batches, "
               "hardware threads: %u)\n",
               kPoolSize, std::thread::hardware_concurrency());
   benchutil::rule('=');
@@ -181,7 +152,6 @@ void shard_sweep() {
     for (const int shards : {1, 2, 4, 8}) {
       dataplane::ShardOptions sopts;
       sopts.shards = shards;
-      sopts.engine.tier = dataplane::Tier::kThreaded;
       dataplane::ShardedDataplane sharded(c.table, c.store, sopts);
       dataplane::ShardedOutput out;
       sharded.execute_batch(pool(), out);  // warm-up
@@ -306,24 +276,6 @@ BENCHMARK_CAPTURE(BM_CompiledBatch, snort_lite, "snort_lite")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CompiledBatch, dpi, "dpi")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CompiledBatch, nat, "nat")->Unit(benchmark::kMillisecond);
-
-void BM_ThreadedBatch(benchmark::State& state, const char* nf) {
-  const Compiled c = compile_nf(nf);
-  dataplane::DataplaneEngine eng(
-      c.table, c.store, dataplane::EngineOptions{dataplane::Tier::kThreaded});
-  dataplane::BatchOutput out;
-  for (auto _ : state) {
-    out.clear();
-    eng.execute_batch(pool(), out);
-    benchmark::DoNotOptimize(out.matched.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(pool().size()));
-}
-BENCHMARK_CAPTURE(BM_ThreadedBatch, snort_lite, "snort_lite")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThreadedBatch, dpi, "dpi")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThreadedBatch, nat, "nat")->Unit(benchmark::kMillisecond);
 
 void BM_ModelInterp(benchmark::State& state, const char* nf) {
   const Compiled c = compile_nf(nf);

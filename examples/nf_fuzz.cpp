@@ -7,8 +7,7 @@
 //
 //   nf-fuzz [--seed N] [--budget N] [--packets N] [--no-shrink]
 //           [--corpus-out DIR] [--verbose] [--metrics-out FILE]
-//           [--provenance] [--no-compiled-leg] [--no-threaded-leg]
-//           [--no-sharded-leg]
+//           [--provenance] [--no-compiled-leg] [--no-sharded-leg]
 //   nf-fuzz --replay DIR            (re-judge a committed corpus)
 #include <cstdio>
 #include <cstring>
@@ -29,8 +28,7 @@ int usage() {
       stderr,
       "usage: nf-fuzz [--seed N] [--budget N] [--packets N] [--no-shrink]\n"
       "               [--corpus-out DIR] [--verbose] [--metrics-out FILE]\n"
-      "               [--provenance] [--no-compiled-leg] [--no-threaded-leg]\n"
-      "               [--no-sharded-leg]\n"
+      "               [--provenance] [--no-compiled-leg] [--no-sharded-leg]\n"
       "       nf-fuzz --replay DIR\n"
       "Generates random NF programs and differentially tests the synthesis\n"
       "pipeline (docs/fuzzing.md). Exits 1 on any divergence, crash, or\n"
@@ -40,12 +38,10 @@ int usage() {
       "--provenance attaches synthesis provenance to divergence reports\n"
       "(implicated model entry + source lines) and records\n"
       "fuzz.provenance.* metrics. Each non-degraded leg also replays the\n"
-      "batch through the compiled dataplane engine (src/dataplane/) at\n"
-      "tier 1 (table walk) and tier 2 (threaded code), and the baseline\n"
-      "leg is additionally run through ShardedDataplane at 2 and 3 shards\n"
-      "with every shard checked against a reference engine.\n"
-      "--no-compiled-leg / --no-threaded-leg / --no-sharded-leg disable\n"
-      "those comparisons.\n");
+      "batch through the compiled dataplane engine (src/dataplane/), and\n"
+      "the baseline leg is additionally run through ShardedDataplane at 2\n"
+      "and 3 shards with every shard checked against a reference engine.\n"
+      "--no-compiled-leg / --no-sharded-leg disable those comparisons.\n");
   return 2;
 }
 
@@ -125,8 +121,6 @@ int main(int argc, char** argv) {
       opts.oracle.attach_provenance = true;
     } else if (a == "--no-compiled-leg") {
       opts.oracle.compiled_leg = false;
-    } else if (a == "--no-threaded-leg") {
-      opts.oracle.threaded_leg = false;
     } else if (a == "--no-sharded-leg") {
       opts.oracle.sharded_leg = false;
     } else if (a == "--corpus-out") {

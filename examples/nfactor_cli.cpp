@@ -67,8 +67,6 @@ int usage() {
                "worker threads;\n"
                "  0 = one per core, 1 = serial; the model is byte-identical "
                "at any width)\n"
-               "  --tier N (with --compile: 1 = flat table dump, 2 = "
-               "threaded-code dump)\n"
                "lint/simplify flags (any position): --lint (diagnostics, "
                "exit 2 on errors), --lint-json,\n"
                "  --Werror (warnings become errors), --no-simplify (skip "
@@ -219,13 +217,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (!extract_value_flag(args, "--folded-out", folded_out)) return usage();
-  std::string tier_str;
-  if (!extract_value_flag(args, "--tier", tier_str)) return usage();
-  if (!tier_str.empty() && tier_str != "1" && tier_str != "2") {
-    std::fprintf(stderr, "error: --tier must be 1 or 2\n");
-    return usage();
-  }
-  const int tier = tier_str == "2" ? 2 : 1;
   const bool no_simplify = extract_flag(args, "--no-simplify");
   const bool werror = extract_flag(args, "--Werror");
   if (args.empty()) return usage();
@@ -328,19 +319,14 @@ int main(int argc, char** argv) {
       // Lower through the dataplane compiler with the module's concrete
       // initial store, so config specialization matches what a deployed
       // engine would run (docs/dataplane.md). The dump is deterministic:
-      // byte-identical at any --jobs width. --tier 2 lowers one step
-      // further, to the threaded-code program (dataplane/threaded.h);
-      // that dump is also deterministic, and deliberately independent of
-      // the dispatch mechanism the build selected.
+      // byte-identical at any --jobs width. The table dump is followed
+      // by the threaded code the engine executes (dataplane/threaded.h).
       const auto store = model::initial_store(*r.module);
       dataplane::CompileOptions copts;
       copts.bindings = &store;
       const auto table = dataplane::compile(r.model, copts);
-      if (tier == 2) {
-        std::printf("%s", dataplane::lower_threaded(table).to_text(table).c_str());
-      } else {
-        std::printf("%s", table.to_text().c_str());
-      }
+      std::printf("%s%s", table.to_text().c_str(),
+                  dataplane::lower_threaded(table).to_text(table).c_str());
     } else if (mode == "--vars") {
       std::printf("%s", r.cats.to_table().c_str());
     } else if (mode == "--slices") {

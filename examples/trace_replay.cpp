@@ -2,7 +2,7 @@
 // to a trace file, read it back, and replay it through an NF — original
 // program, synthesized model, and the compiled dataplane engine
 // (src/dataplane/, batch API) side by side; then once more through a
-// 2-shard threaded-tier ShardedDataplane, with every shard validated
+// 2-shard ShardedDataplane, with every shard validated
 // against a reference engine fed that shard's packet subsequence.
 //
 //   trace_replay [nf-name] [packet-count]
@@ -79,13 +79,11 @@ int main(int argc, char** argv) {
               nf.c_str(), replay.size(), fwd_orig, fwd_model, fwd_compiled,
               agree, replay.size());
 
-  // 3. Sharded leg: the same trace through a 2-shard tier-2 (threaded)
-  // ShardedDataplane. Each shard must match a fresh single engine fed
-  // that shard's packet subsequence — verdicts, sends, global src
-  // indices, and final state.
+  // 3. Sharded leg: the same trace through a 2-shard ShardedDataplane.
+  // Each shard must match a fresh single engine fed that shard's packet
+  // subsequence — verdicts, sends, global src indices, and final state.
   dataplane::ShardOptions sopts;
   sopts.shards = 2;
-  sopts.engine.tier = dataplane::Tier::kThreaded;
   dataplane::ShardedDataplane sharded(table, store, sopts);
   dataplane::ShardedOutput sout;
   sharded.execute_batch(replay, sout);
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
     std::printf("  shard %d: %zu packets, %zu sends, reference %s\n", s,
                 sub.size(), ssends.size(), ok ? "agrees" : "DIVERGES");
   }
-  std::printf("sharded (2 shards, threaded tier): %d/%d shards match their "
+  std::printf("sharded (2 shards): %d/%d shards match their "
               "reference engine\n",
               shard_ok, shard_total);
   const bool pass =

@@ -419,83 +419,6 @@ struct ProgCompiler {
   }
 };
 
-bool is_cmp_op(OpCode c) {
-  return c == OpCode::kEq || c == OpCode::kNe || c == OpCode::kLt ||
-         c == OpCode::kLe || c == OpCode::kGt || c == OpCode::kGe;
-}
-
-/// Mirror a comparison so the field ends up on the left:
-/// `k < field` becomes `field > k`.
-OpCode flip_cmp(OpCode c) {
-  switch (c) {
-    case OpCode::kLt: return OpCode::kGt;
-    case OpCode::kLe: return OpCode::kGe;
-    case OpCode::kGt: return OpCode::kLt;
-    case OpCode::kGe: return OpCode::kLe;
-    default: return c;  // kEq / kNe are symmetric
-  }
-}
-
-struct CmpUnit {
-  OpCode cmp;
-  PacketField field;
-  runtime::Int k;
-};
-
-/// Parse ops[at..at+2] as `field cmp const` (either operand order).
-std::optional<CmpUnit> parse_cmp(const std::vector<Op>& ops, std::size_t at) {
-  if (at + 3 > ops.size() || !is_cmp_op(ops[at + 2].code)) return std::nullopt;
-  const Op& a = ops[at];
-  const Op& b = ops[at + 1];
-  if (a.code == OpCode::kPushField && b.code == OpCode::kPushConst) {
-    return CmpUnit{ops[at + 2].code, static_cast<PacketField>(a.imm), b.imm};
-  }
-  if (a.code == OpCode::kPushConst && b.code == OpCode::kPushField) {
-    return CmpUnit{flip_cmp(ops[at + 2].code), static_cast<PacketField>(b.imm),
-                   a.imm};
-  }
-  return std::nullopt;
-}
-
-/// Peephole-recognize the superinstruction shapes (see FusedPred).
-FusedPred fuse(const Program& prog) {
-  FusedPred f;
-  const auto& ops = prog.ops;
-  if (ops.size() == 1 && ops[0].code == OpCode::kPayloadContains) {
-    f.kind = FusedPred::Kind::kContains;
-    f.k1 = ops[0].imm;
-  } else if (ops.size() == 3 && ops[0].code == OpCode::kPayloadContains &&
-             ops[1].code == OpCode::kPayloadContains &&
-             (ops[2].code == OpCode::kOr || ops[2].code == OpCode::kAnd)) {
-    f.kind = FusedPred::Kind::kContains2;
-    f.k1 = ops[0].imm;
-    f.k2 = ops[1].imm;
-    f.disjunction = ops[2].code == OpCode::kOr;
-  } else if (ops.size() == 3) {
-    if (const auto c = parse_cmp(ops, 0)) {
-      f.kind = FusedPred::Kind::kCmp;
-      f.cmp1 = c->cmp;
-      f.f1 = c->field;
-      f.k1 = c->k;
-    }
-  } else if (ops.size() == 7 &&
-             (ops[6].code == OpCode::kOr || ops[6].code == OpCode::kAnd)) {
-    const auto a = parse_cmp(ops, 0);
-    const auto b = parse_cmp(ops, 3);
-    if (a && b) {
-      f.kind = FusedPred::Kind::kCmp2;
-      f.cmp1 = a->cmp;
-      f.f1 = a->field;
-      f.k1 = a->k;
-      f.cmp2 = b->cmp;
-      f.f2 = b->field;
-      f.k2 = b->k;
-      f.disjunction = ops[6].code == OpCode::kOr;
-    }
-  }
-  return f;
-}
-
 CompiledLeaf compile_leaf(const model::ModelEntry& e, int entry,
                           Specializer& spec, ProgCompiler& pc) {
   CompiledLeaf leaf;
@@ -593,7 +516,6 @@ CompiledTable compile(const model::Model& m, const CompileOptions& opts) {
     CompiledPred p;
     p.expr = a;
     p.prog = pc.compile_pred(a);
-    p.fused = fuse(p.prog);
     if (p.prog.compiled()) ++t.compiled_preds;
     t.preds.push_back(std::move(p));
   }
@@ -629,16 +551,6 @@ CompiledTable compile(const model::Model& m, const CompileOptions& opts) {
   }
   t.root = xlate(fdd.root);
   t.stats = fdd.stats;
-  t.pure_filter = true;
-  for (const CompiledPred& p : t.preds) {
-    if (p.fused.kind == FusedPred::Kind::kNone) t.pure_filter = false;
-  }
-  for (const CompiledLeaf& l : t.leaves) {
-    if (!l.updates.empty()) t.pure_filter = false;
-    for (const CompiledSend& s : l.sends) {
-      if (!s.writes.empty() || !s.const_port) t.pure_filter = false;
-    }
-  }
   OBS_GAUGE("dataplane.compile.nodes", t.nodes.size());
   OBS_GAUGE("dataplane.compile.compiled_preds", t.compiled_preds);
   return t;
@@ -660,7 +572,6 @@ std::string CompiledTable::to_text() const {
      << ", cons hits: " << stats.cons_hits << ")\n";
   os << "leaves: " << leaves.size() << "\n";
   os << "compiled-preds: " << compiled_preds << "/" << preds.size() << "\n";
-  os << "mode: " << (pure_filter ? "pure-filter" : "general") << "\n";
   const auto edge = [](std::int32_t r) {
     return r >= 0 ? "n" + std::to_string(r) : "L" + std::to_string(~r);
   };
@@ -672,9 +583,7 @@ std::string CompiledTable::to_text() const {
   }
   os << "preds:\n";
   for (std::size_t i = 0; i < preds.size(); ++i) {
-    const char* tag = preds[i].fused.kind != FusedPred::Kind::kNone ? "fuse"
-                      : preds[i].prog.compiled()                    ? "prog"
-                                                                    : "gen ";
+    const char* tag = preds[i].prog.compiled() ? "prog" : "gen ";
     os << "  p" << i << " [" << tag << "] " << symex::to_string(preds[i].expr)
        << "\n";
   }
@@ -757,11 +666,10 @@ Value deep_copy_value(const Value& v) {
 
 DataplaneEngine::DataplaneEngine(const CompiledTable& table,
                                  std::map<std::string, runtime::Value> store,
-                                 EngineOptions opts)
-    : table_(table), store_(std::move(store)) {
-  if (opts.tier == Tier::kThreaded) {
-    threaded_ = std::make_unique<ThreadedCode>(lower_threaded(table));
-  }
+                                 EngineOptions /*opts*/)
+    : table_(table),
+      store_(std::move(store)),
+      threaded_(std::make_unique<ThreadedCode>(lower_threaded(table))) {
   for (auto& [name, v] : store_) v = deep_copy_value(v);
   // One environment for the engine's whole life: the closures chase
   // cur_ / store_ through `this`, so per-packet setup is two pointer
@@ -816,22 +724,26 @@ Needle make_needle(std::string text) {
   // Horspool shift table: on a mismatch, shift by the distance from the
   // haystack byte under the needle's last position to that byte's
   // rightmost occurrence in needle[0..len-2]; bytes not in the needle
-  // shift a full needle length. (Needle lengths are bounded by
-  // kMaxProgramOps-scale literals, far below 255, so uint8 shifts fit.)
-  // Built even below the use_bmh threshold — every shift is >= 1, so
-  // scan_bmh terminates on any Needle this function returns (the
-  // payload-scan microbench drives it across the whole length range).
+  // shift a full needle length. DSL string literals have no length
+  // limit, so each shift is clamped to the uint8 range: a shorter shift
+  // never skips a match, while a wrapped one (256 -> 0) would stall the
+  // scan forever. Built even below the use_bmh threshold — every shift
+  // is >= 1, so scan_bmh terminates on any Needle this function returns
+  // (the payload-scan microbench drives it across the whole length
+  // range).
   const std::size_t len = n.text.size();
-  n.skip.fill(static_cast<std::uint8_t>(len));
+  const auto shift = [](std::size_t d) {
+    return static_cast<std::uint8_t>(std::min<std::size_t>(d, 255));
+  };
+  n.skip.fill(shift(len));
   for (std::size_t i = 0; i + 1 < len; ++i) {
-    n.skip[static_cast<std::uint8_t>(n.text[i])] =
-        static_cast<std::uint8_t>(len - 1 - i);
+    n.skip[static_cast<std::uint8_t>(n.text[i])] = shift(len - 1 - i);
   }
   return n;
 }
 
 // scan_memchr_hop / scan_bmh / scan_adaptive / payload_contains are
-// defined inline in engine.h so both execution tiers inline them.
+// defined inline in engine.h so their callers inline them.
 
 runtime::Int DataplaneEngine::run_program(const Program& prog,
                                           const netsim::Packet& in) const {
@@ -888,75 +800,6 @@ runtime::Int DataplaneEngine::run_program(const Program& prog,
   return st[0];
 }
 
-namespace {
-
-inline bool eval_cmp(OpCode c, runtime::Int v, runtime::Int k) {
-  switch (c) {
-    case OpCode::kEq: return v == k;
-    case OpCode::kNe: return v != k;
-    case OpCode::kLt: return v < k;
-    case OpCode::kLe: return v <= k;
-    case OpCode::kGt: return v > k;
-    default: return v >= k;  // kGe (fuse() only emits kEq..kGe here)
-  }
-}
-
-/// Evaluate a fused predicate (kind != kNone). Two-term forms
-/// short-circuit on the first term exactly when its value decides the op
-/// (true for ||, false for &&); neither term can have side effects, so
-/// this matches full evaluation. Fused forms are total — never throw.
-inline bool eval_fused(const FusedPred& fp, const netsim::Packet& in,
-                       const std::vector<Needle>& needles) {
-  switch (fp.kind) {
-    case FusedPred::Kind::kCmp:
-      return eval_cmp(fp.cmp1, read_packet_field(in, fp.f1), fp.k1);
-    case FusedPred::Kind::kCmp2: {
-      const bool a = eval_cmp(fp.cmp1, read_packet_field(in, fp.f1), fp.k1);
-      return a == fp.disjunction
-                 ? a
-                 : eval_cmp(fp.cmp2, read_packet_field(in, fp.f2), fp.k2);
-    }
-    case FusedPred::Kind::kContains:
-      return payload_contains(in.payload,
-                              needles[static_cast<std::size_t>(fp.k1)]);
-    default: {  // kContains2
-      const bool a = payload_contains(
-          in.payload, needles[static_cast<std::size_t>(fp.k1)]);
-      return a == fp.disjunction
-                 ? a
-                 : payload_contains(in.payload,
-                                    needles[static_cast<std::size_t>(fp.k2)]);
-    }
-  }
-}
-
-}  // namespace
-
-const CompiledLeaf& DataplaneEngine::match(const netsim::Packet& in) {
-  cur_ = &in;
-  env_.input_packet = &in;
-  std::int32_t ref = table_.root;
-  while (ref >= 0) {
-    const FlatNode& n = table_.nodes[static_cast<std::size_t>(ref)];
-    const CompiledPred& p = table_.preds[static_cast<std::size_t>(n.pred)];
-    bool t;
-    if (p.fused.kind != FusedPred::Kind::kNone) {
-      t = eval_fused(p.fused, in, table_.needles);
-    } else if (p.prog.compiled()) {
-      t = run_program(p.prog, in) != 0;
-    } else {
-      try {
-        t = symex::eval_concrete_bool(p.expr, env_);
-      } catch (const std::exception&) {
-        ref = n.on_except;
-        continue;
-      }
-    }
-    ref = t ? n.on_true : n.on_false;
-  }
-  return table_.leaves[static_cast<std::size_t>(~ref)];
-}
-
 void DataplaneEngine::apply_writes(netsim::Packet& p, const CompiledSend& s,
                                    const netsim::Packet& in) {
   for (const CompiledWrite& w : s.writes) {
@@ -974,10 +817,25 @@ runtime::Int DataplaneEngine::eval_port(const CompiledSend& s,
              : symex::eval_concrete(s.port_expr, env_).as_int();
 }
 
-template <typename Emit>
 void DataplaneEngine::apply_leaf(const CompiledLeaf& leaf,
-                                 const netsim::Packet& in, Emit&& emit) {
-  for (const CompiledSend& s : leaf.sends) emit(s);
+                                 const netsim::Packet& in, std::int32_t src,
+                                 BatchOutput& out) {
+  for (const CompiledSend& s : leaf.sends) {
+    // Overwrite a retired slot: the packet assignment reuses the
+    // slot's payload buffer, so the steady state allocates nothing.
+    BatchOutput::Send& slot = out.next_slot();
+    if (s.writes.empty()) {
+      slot.view_ = &in;  // unmodified forward: borrow, don't copy
+    } else {
+      slot.view_ = nullptr;
+      slot.owned_ = in;
+      apply_writes(slot.owned_, s, in);
+    }
+    slot.port = static_cast<int>(s.const_port ? s.port_const
+                                              : eval_port(s, in));
+    slot.src = src;
+    ++out.used_;  // commit only once the slot is fully valid
+  }
   if (!leaf.updates.empty()) {
     // Evaluate every RHS against the pre-state, then commit — the same
     // atomic-transition rule as ModelInterpreter::process. Map-set
@@ -1026,130 +884,16 @@ void DataplaneEngine::apply_leaf(const CompiledLeaf& leaf,
   }
 }
 
-void DataplaneEngine::apply_leaf_batch(const CompiledLeaf& leaf,
-                                       const netsim::Packet& in,
-                                       std::int32_t src, BatchOutput& out) {
-  apply_leaf(leaf, in, [&](const CompiledSend& s) {
-    // Overwrite a retired slot: the packet assignment reuses the
-    // slot's payload buffer, so the steady state allocates nothing.
-    BatchOutput::Send& slot = out.next_slot();
-    if (s.writes.empty()) {
-      slot.view_ = &in;  // unmodified forward: borrow, don't copy
-    } else {
-      slot.view_ = nullptr;
-      slot.owned_ = in;
-      apply_writes(slot.owned_, s, in);
-    }
-    slot.port = static_cast<int>(s.const_port ? s.port_const
-                                              : eval_port(s, in));
-    slot.src = src;
-    ++out.used_;  // commit only once the slot is fully valid
-  });
-}
-
-namespace {
-
-/// Index sources for the shared batch loop: sequential (execute_batch)
-/// or gather through a shard's index array (execute_indexed).
-struct SeqIdx {
-  std::int32_t operator()(std::size_t i) const {
-    return static_cast<std::int32_t>(i);
-  }
-};
-struct ArrIdx {
-  const std::int32_t* idx;
-  std::int32_t operator()(std::size_t i) const { return idx[i]; }
-};
-
-}  // namespace
-
-template <typename IdxFn>
-void DataplaneEngine::batch_table(std::span<const netsim::Packet> packets,
-                                  std::size_t count, IdxFn idx,
-                                  BatchOutput& out) {
-  out.matched.reserve(out.matched.size() + count);
-  // Streamlined loop for stateless forward/drop tables: every pred is
-  // fused (total — no throws, so on_except is unreachable) and every
-  // send is an unmodified copy to a constant port. Keeping the generic
-  // machinery out of the loop body roughly halves the per-packet cost.
-  if (table_.pure_filter) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::int32_t gi = idx(i);
-      const netsim::Packet& in = packets[static_cast<std::size_t>(gi)];
-      std::int32_t ref = table_.root;
-      while (ref >= 0) {
-        const FlatNode& n = table_.nodes[static_cast<std::size_t>(ref)];
-        ref = eval_fused(table_.preds[static_cast<std::size_t>(n.pred)].fused,
-                         in, table_.needles)
-                  ? n.on_true
-                  : n.on_false;
-      }
-      const CompiledLeaf& leaf = table_.leaves[static_cast<std::size_t>(~ref)];
-      out.matched.push_back(leaf.entry);
-      for (const CompiledSend& s : leaf.sends) {
-        BatchOutput::Send& slot = out.next_slot();
-        slot.view_ = &in;  // pure filters never rewrite: forward by view
-        slot.port = static_cast<int>(s.port_const);
-        slot.src = gi;
-        ++out.used_;
-      }
-    }
-    OBS_COUNT_N("dataplane.packets", count);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::int32_t gi = idx(i);
-    const netsim::Packet& in = packets[static_cast<std::size_t>(gi)];
-    const CompiledLeaf& leaf = match(in);
-    out.matched.push_back(leaf.entry);
-    apply_leaf_batch(leaf, in, gi, out);
-  }
-  OBS_COUNT_N("dataplane.packets", count);
-}
-
-void DataplaneEngine::execute_batch(std::span<const netsim::Packet> packets,
-                                    BatchOutput& out) {
-  if (threaded_ != nullptr) {
-    execute_batch_threaded(packets, out);
-    return;
-  }
-  batch_table(packets, packets.size(), SeqIdx{}, out);
-}
-
-void DataplaneEngine::execute_indexed(std::span<const netsim::Packet> packets,
-                                      std::span<const std::int32_t> idx,
-                                      BatchOutput& out) {
-  if (threaded_ != nullptr) {
-    execute_indexed_threaded(packets, idx, out);
-    return;
-  }
-  batch_table(packets, idx.size(), ArrIdx{idx.data()}, out);
-}
-
 model::ModelOutput DataplaneEngine::process(const netsim::Packet& in) {
-  const CompiledLeaf* matched;
-  if (threaded_ != nullptr) {
-    const std::int32_t pc = run_threaded(in);
-    // The terminal op carries its leaf index; generic leaf application
-    // below needs the env wired to this packet (run_threaded only does
-    // that lazily, when a generic predicate fires).
-    cur_ = &in;
-    env_.input_packet = &in;
-    matched = &table_.leaves[static_cast<std::size_t>(
-        threaded_->code[static_cast<std::size_t>(pc)].aux)];
-  } else {
-    matched = &match(in);
-  }
-  const CompiledLeaf& leaf = *matched;
+  // A one-packet batch: process() runs the same executor as
+  // execute_batch, then copies the sends out of the scratch output.
+  one_.clear();
+  execute_batch({&in, 1}, one_);
   model::ModelOutput out;
-  out.matched_entry = leaf.entry;
-  apply_leaf(leaf, in, [&](const CompiledSend& s) {
-    netsim::Packet p = in;
-    if (!s.writes.empty()) apply_writes(p, s, in);
-    const int port =
-        static_cast<int>(s.const_port ? s.port_const : eval_port(s, in));
-    out.sent.emplace_back(std::move(p), port);
-  });
+  out.matched_entry = one_.matched[0];
+  for (const BatchOutput::Send& send : one_.sends()) {
+    out.sent.emplace_back(send.packet(), send.port);
+  }
   return out;
 }
 

@@ -1,10 +1,9 @@
 // Dataplane engine (docs/dataplane.md): compiles a synthesized NFactor
-// model into a flat, cache-friendly decision structure and executes it
-// over packet *batches* — the third execution backend beside the DSL
-// runtime and the per-packet model interpreter, and the substrate the
-// throughput numbers in bench_dataplane come from.
+// model into one match/action table and executes it over packet
+// *batches* — the third execution backend beside the DSL runtime and
+// the per-packet model interpreter.
 //
-// Lowering passes, in order:
+// compile() lowers a model in four passes:
 //   1. config specialization — concrete config values are substituted
 //      into every provably throw-free predicate/action expression, so
 //      "pkt.dport == WATCH_PORT" becomes "pkt.dport == 80";
@@ -15,8 +14,11 @@
 //      tiny stack programs evaluated without the symbolic-expression
 //      walker or any allocation (everything else keeps a generic slot
 //      that falls back to symex::eval_concrete);
-//   4. flattening — the DAG becomes one contiguous node array walked
-//      iteratively per packet, leaves become compiled action blocks.
+//   4. flattening — the DAG becomes one contiguous FlatNode array (the
+//      golden IR), leaves become compiled action blocks.
+//
+// DataplaneEngine then lowers that table once more, into threaded code
+// (dataplane/threaded.h), and runs only that code.
 //
 // Equivalence with model::ModelInterpreter is exact — including its
 // treatment of throwing predicates (the entry fails, others survive) —
@@ -114,9 +116,9 @@ Needle make_needle(std::string text);
 // Scan primitives, exposed for the payload-scan microbench. The engine
 // itself always goes through payload_contains, which runs the memchr
 // hop for short needles and scan_adaptive for use_bmh needles. Defined
-// inline here so every execution tier — the table walk in engine.cpp
-// and the threaded code in threaded.cpp — gets them inlined into its
-// hot loop instead of paying a cross-TU call per scan.
+// inline here so the threaded executor (threaded.cpp) and the stack
+// machine (engine.cpp) get them inlined into their hot loops instead of
+// paying a cross-TU call per scan.
 
 /// Substring scan tuned for packet payloads: memchr (SIMD) hops between
 /// first-byte candidates, memcmp confirms. glibc memmem's preprocessing
@@ -282,32 +284,9 @@ struct Program {
   bool compiled() const { return !ops.empty(); }
 };
 
-/// Superinstruction form of a predicate. The generic stack machine pays
-/// one indirect-branch dispatch per opcode, and on mixed traffic those
-/// dispatches mispredict badly — the walk costs more than the packet
-/// logic itself. Synthesized models overwhelmingly test one of four
-/// shapes, so the compiler peephole-fuses those into a single record the
-/// match loop evaluates inline with at most two well-predicted branches.
-struct FusedPred {
-  enum class Kind : std::uint8_t {
-    kNone,       ///< not fused — run prog / fall back to eval_concrete
-    kCmp,        ///< cmp1(field f1, const k1)
-    kCmp2,       ///< cmp1(f1,k1) op cmp2(f2,k2), op per `disjunction`
-    kContains,   ///< payload contains needles[k1]
-    kContains2,  ///< contains(needles[k1]) op contains(needles[k2])
-  };
-  Kind kind = Kind::kNone;
-  OpCode cmp1 = OpCode::kEq;  ///< comparison op (kEq..kGe)
-  OpCode cmp2 = OpCode::kEq;
-  PacketField f1{}, f2{};
-  runtime::Int k1 = 0, k2 = 0;  ///< constants (kCmp*) or needle indices
-  bool disjunction = false;     ///< two-term forms: true = ||, false = &&
-};
-
 struct CompiledPred {
   symex::SymRef expr;  ///< specialized expression (rendering + fallback)
   Program prog;
-  FusedPred fused;  ///< peephole-fused form of prog (fuse() in engine.cpp)
 };
 
 struct CompiledWrite {
@@ -366,11 +345,6 @@ struct CompiledTable {
   std::int32_t root = -1;            ///< edge encoding (may point at a leaf)
   FddStats stats;
   std::size_t compiled_preds = 0;  ///< preds with a stack program
-  /// True when every predicate is fused and every leaf is a pure
-  /// forward/drop (no writes, no state updates, constant ports). Such
-  /// tables run execute_batch's streamlined loop: no environment setup,
-  /// no fallback branches, just fused tests and constant-port emits.
-  bool pure_filter = false;
 
   /// Deterministic text rendering — the golden-dump format
   /// (tests/golden/dataplane/). Byte-identical at any --jobs width.
@@ -430,26 +404,20 @@ struct BatchOutput {
   std::size_t used_ = 0;
 };
 
-/// Execution tier. Tier 1 walks the FlatNode array with a generic match
-/// loop; tier 2 (threaded.h) lowers the same array into threaded code —
-/// one direct-threaded op per node with pre-resolved branch targets,
-/// dispatched by computed goto where the compiler supports it. Both
-/// tiers share every piece of leaf-application machinery, so their
-/// outputs are identical by construction and by test.
-enum class Tier : std::uint8_t {
-  kTableWalk = 1,
-  kThreaded = 2,
-};
-
+// Compatibility shim: perfbench/ still names Tier and EngineOptions.
+// Both stay, in this smallest form, until the next benchmark change;
+// the engine ignores them — threaded code is its only executor.
+enum class Tier : std::uint8_t { kThreaded = 2 };
 struct EngineOptions {
-  Tier tier = Tier::kTableWalk;
+  Tier tier = Tier::kThreaded;
 };
 
 struct ThreadedCode;  // dataplane/threaded.h
 
 /// Executes a compiled table over concrete packets, maintaining the
-/// oisVar state exactly like model::ModelInterpreter. The table must
-/// outlive the engine.
+/// oisVar state exactly like model::ModelInterpreter. The constructor
+/// lowers the table to threaded code (dataplane/threaded.h), which every
+/// entry point below runs. The table must outlive the engine.
 class DataplaneEngine {
  public:
   DataplaneEngine(const CompiledTable& table,
@@ -477,30 +445,18 @@ class DataplaneEngine {
 
   const runtime::Value* state(const std::string& name) const;
   void set_state(const std::string& name, runtime::Value v);
-  Tier tier() const { return threaded_ ? Tier::kThreaded : Tier::kTableWalk; }
   const std::map<std::string, runtime::Value>& store() const { return store_; }
 
  private:
-  friend struct ThreadedCode;
-  const CompiledLeaf& match(const netsim::Packet& in);
-  template <typename Emit>
+  /// Emit a matched leaf's sends into `out` (Send::src = src), then
+  /// commit its state updates atomically.
   void apply_leaf(const CompiledLeaf& leaf, const netsim::Packet& in,
-                  Emit&& emit);
-  /// Non-template leaf application for out-of-TU callers (threaded.cpp):
-  /// same semantics as apply_leaf with the batch/process emit bodies.
-  void apply_leaf_batch(const CompiledLeaf& leaf, const netsim::Packet& in,
-                        std::int32_t src, BatchOutput& out);
+                  std::int32_t src, BatchOutput& out);
   void apply_writes(netsim::Packet& p, const CompiledSend& s,
                     const netsim::Packet& in);
   runtime::Int eval_port(const CompiledSend& s, const netsim::Packet& in);
   runtime::Int run_program(const Program& prog, const netsim::Packet& in) const;
-  template <typename IdxFn>
-  void batch_table(std::span<const netsim::Packet> packets, std::size_t count,
-                   IdxFn idx, BatchOutput& out);
-  /// Tier-2 entry points, defined in threaded.cpp. run_threaded executes
-  /// the threaded program for one packet and returns the pc of the
-  /// terminal op it halted on (always a leaf terminal).
-  std::int32_t run_threaded(const netsim::Packet& in);
+  /// Executor entry points, defined in threaded.cpp.
   template <typename IdxFn>
   void batch_threaded(std::span<const netsim::Packet> packets,
                       std::size_t count, IdxFn idx, BatchOutput& out);
@@ -514,22 +470,18 @@ class DataplaneEngine {
   void batch_vectored_block(std::span<const netsim::Packet> packets,
                             std::size_t b0, std::size_t b1, IdxFn idx,
                             BatchOutput& out);
-  void execute_batch_threaded(std::span<const netsim::Packet> packets,
-                              BatchOutput& out);
-  void execute_indexed_threaded(std::span<const netsim::Packet> packets,
-                                std::span<const std::int32_t> idx,
-                                BatchOutput& out);
 
   const CompiledTable& table_;
   std::map<std::string, runtime::Value> store_;
   const netsim::Packet* cur_ = nullptr;  ///< packet the env closures read
   symex::ConcreteEnv env_;               ///< built once, reused per packet
-  std::unique_ptr<ThreadedCode> threaded_;  ///< non-null iff tier 2
+  std::unique_ptr<ThreadedCode> threaded_;  ///< the lowered table
   /// batch_vectored scratch, reused across batches: one packet-index
   /// queue per threaded op, plus the per-packet terminal pc. Engine
   /// state like store_ — never shared across threads.
   std::vector<std::vector<std::int32_t>> vec_q_;
   std::vector<std::int32_t> vec_term_;
+  BatchOutput one_;  ///< process() scratch: its one-packet batch
 };
 
 }  // namespace nfactor::dataplane

@@ -56,8 +56,7 @@ ShardedDataplane::ShardedDataplane(
   for (int s = 0; s < n; ++s) {
     // Each engine deep-copies the store on construction, so replicas
     // never alias each other's containers.
-    engines_.push_back(
-        std::make_unique<DataplaneEngine>(table, store, opts.engine));
+    engines_.push_back(std::make_unique<DataplaneEngine>(table, store));
   }
   shard_idx_.resize(static_cast<std::size_t>(n));
   if (n > 1) {

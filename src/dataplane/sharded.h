@@ -44,7 +44,9 @@ std::uint64_t flow_hash(const netsim::Packet& p);
 
 struct ShardOptions {
   int shards = 1;
-  EngineOptions engine;  ///< tier for every replica
+  /// Unread compatibility shim: perfbench/ still sets it. Stays until
+  /// the next benchmark change.
+  EngineOptions engine;
 };
 
 /// Batch result. matched[i] is the verdict for input packet i (same

@@ -7,17 +7,6 @@
 
 #include "obs/obs.h"
 
-// NFACTOR_DATAPLANE_THREADED selects the dispatch strategy: 1 = computed
-// goto (labels-as-values), 0 = portable switch loop. CMake defines it 0
-// when the option is OFF; otherwise the compiler decides.
-#if !defined(NFACTOR_DATAPLANE_THREADED)
-#if defined(__GNUC__) || defined(__clang__)
-#define NFACTOR_DATAPLANE_THREADED 1
-#else
-#define NFACTOR_DATAPLANE_THREADED 0
-#endif
-#endif
-
 namespace nfactor::dataplane {
 
 namespace {
@@ -334,35 +323,6 @@ struct Lowerer {
     const Tgt tt = Tgt::edge(n.on_true);
     const Tgt ff = Tgt::edge(n.on_false);
     const Tgt xx = Tgt::edge(n.on_except);
-    switch (p.fused.kind) {
-      case FusedPred::Kind::kCmp:
-        return emit_cmp_field(p.fused.f1, p.fused.cmp1, p.fused.k1, tt, ff,
-                              xx);
-      case FusedPred::Kind::kCmp2: {
-        // term2 is emitted first so term1 can branch straight into it;
-        // the chain short-circuits exactly like eval_fused.
-        const std::int32_t i2 = emit_cmp_field(p.fused.f2, p.fused.cmp2,
-                                               p.fused.k2, tt, ff, xx);
-        ++c.split_nodes;
-        return p.fused.disjunction
-                   ? emit_cmp_field(p.fused.f1, p.fused.cmp1, p.fused.k1, tt,
-                                    Tgt::pc(i2), xx)
-                   : emit_cmp_field(p.fused.f1, p.fused.cmp1, p.fused.k1,
-                                    Tgt::pc(i2), ff, xx);
-      }
-      case FusedPred::Kind::kContains:
-        return emit_contains(p.fused.k1, tt, ff, xx);
-      case FusedPred::Kind::kContains2: {
-        if (p.fused.disjunction) {
-          return emit_contains_or(p.fused.k1, p.fused.k2, tt, ff, xx);
-        }
-        const std::int32_t i2 = emit_contains(p.fused.k2, tt, ff, xx);
-        ++c.split_nodes;
-        return emit_contains(p.fused.k1, Tgt::pc(i2), ff, xx);
-      }
-      case FusedPred::Kind::kNone:
-        break;
-    }
     if (p.prog.compiled()) {
       // Try to split the stack program into a short-circuit test chain;
       // roll back to a single kProg op when any subtree resists.
@@ -491,9 +451,7 @@ ThreadedCode lower_threaded(const CompiledTable& t) {
   return c;
 }
 
-bool threaded_dispatch_is_computed_goto() {
-  return NFACTOR_DATAPLANE_THREADED != 0;
-}
+bool threaded_dispatch_is_computed_goto() { return true; }
 
 // ---------------------------------------------------------------------------
 // to_text()
@@ -613,148 +571,6 @@ inline Int load_masked(const ThreadedOp& o, const std::uint8_t* base,
   }
 }
 
-}  // namespace
-
-std::int32_t DataplaneEngine::run_threaded(const netsim::Packet& in) {
-  const ThreadedOp* const code = threaded_->code.data();
-  const std::vector<Needle>& needles = table_.needles;
-  const auto* const base = reinterpret_cast<const std::uint8_t*>(&in);
-  std::int32_t pc = threaded_->entry_pc;
-  const ThreadedOp* op = nullptr;
-
-#if NFACTOR_DATAPLANE_THREADED
-  // Direct-threaded dispatch: every op ends by jumping straight to the
-  // next op's label through a label-address table. Unlike a switch loop,
-  // each op gets its *own* indirect branch, so the predictor can learn
-  // the per-op successor distribution (node i's jump almost always
-  // targets the same two labels).
-  static const void* const kDispatch[] = {
-      &&op_cmp_raw8,  &&op_cmp_raw16,   &&op_cmp_raw32, &&op_cmp_gen,
-      &&op_mask_cmp,  &&op_contains,    &&op_contains_or,
-      &&op_prog,      &&op_generic,
-      &&op_term,      &&op_term,        &&op_term,
-  };
-#define NFACTOR_TC_DISPATCH()                         \
-  op = code + pc;                                     \
-  goto* kDispatch[static_cast<std::size_t>(op->op)]
-
-  NFACTOR_TC_DISPATCH();
-op_cmp_raw8:
-  pc = cmp_branch(*op, base[op->off]);
-  NFACTOR_TC_DISPATCH();
-op_cmp_raw16:
-  pc = cmp_branch(*op, load_u16(base + op->off));
-  NFACTOR_TC_DISPATCH();
-op_cmp_raw32:
-  pc = cmp_branch(*op, load_u32(base + op->off));
-  NFACTOR_TC_DISPATCH();
-op_cmp_gen:
-  pc = cmp_branch(*op, read_packet_field(in, op->f1));
-  NFACTOR_TC_DISPATCH();
-op_mask_cmp:
-  pc = cmp_branch(*op, load_masked(*op, base, in) & op->k2);
-  NFACTOR_TC_DISPATCH();
-op_contains:
-  pc = payload_contains(in.payload,
-                        needles[static_cast<std::size_t>(op->k1)])
-           ? op->t
-           : op->f;
-  NFACTOR_TC_DISPATCH();
-op_contains_or:
-  pc = payload_contains_either(in.payload,
-                               needles[static_cast<std::size_t>(op->k1)],
-                               needles[static_cast<std::size_t>(op->k2)])
-           ? op->t
-           : op->f;
-  NFACTOR_TC_DISPATCH();
-op_prog:
-  pc = run_program(table_.preds[static_cast<std::size_t>(op->aux)].prog, in) !=
-               0
-           ? op->t
-           : op->f;
-  NFACTOR_TC_DISPATCH();
-op_generic: {
-  // Lazy environment setup: only packets that actually reach a generic
-  // predicate pay the two pointer stores.
-  cur_ = &in;
-  env_.input_packet = &in;
-  bool t;
-  try {
-    t = symex::eval_concrete_bool(
-        table_.preds[static_cast<std::size_t>(op->aux)].expr, env_);
-  } catch (const std::exception&) {
-    pc = op->x;
-    NFACTOR_TC_DISPATCH();
-  }
-  pc = t ? op->t : op->f;
-  NFACTOR_TC_DISPATCH();
-}
-op_term:
-  return pc;
-#undef NFACTOR_TC_DISPATCH
-
-#else  // portable switch fallback — identical semantics
-  while (true) {
-    op = code + pc;
-    switch (op->op) {
-      case TOp::kCmpRaw8:
-        pc = cmp_branch(*op, base[op->off]);
-        break;
-      case TOp::kCmpRaw16:
-        pc = cmp_branch(*op, load_u16(base + op->off));
-        break;
-      case TOp::kCmpRaw32:
-        pc = cmp_branch(*op, load_u32(base + op->off));
-        break;
-      case TOp::kCmpGen:
-        pc = cmp_branch(*op, read_packet_field(in, op->f1));
-        break;
-      case TOp::kMaskCmp:
-        pc = cmp_branch(*op, load_masked(*op, base, in) & op->k2);
-        break;
-      case TOp::kContains:
-        pc = payload_contains(in.payload,
-                              needles[static_cast<std::size_t>(op->k1)])
-                 ? op->t
-                 : op->f;
-        break;
-      case TOp::kContainsOr:
-        pc = payload_contains_either(in.payload,
-                                     needles[static_cast<std::size_t>(op->k1)],
-                                     needles[static_cast<std::size_t>(op->k2)])
-                 ? op->t
-                 : op->f;
-        break;
-      case TOp::kProg:
-        pc = run_program(table_.preds[static_cast<std::size_t>(op->aux)].prog,
-                         in) != 0
-                 ? op->t
-                 : op->f;
-        break;
-      case TOp::kGeneric: {
-        cur_ = &in;
-        env_.input_packet = &in;
-        try {
-          pc = symex::eval_concrete_bool(
-                   table_.preds[static_cast<std::size_t>(op->aux)].expr, env_)
-                   ? op->t
-                   : op->f;
-        } catch (const std::exception&) {
-          pc = op->x;
-        }
-        break;
-      }
-      case TOp::kForward:
-      case TOp::kDrop:
-      case TOp::kLeaf:
-        return pc;
-    }
-  }
-#endif
-}
-
-namespace {
-
 struct SeqIdx {
   std::int32_t operator()(std::size_t i) const {
     return static_cast<std::int32_t>(i);
@@ -786,8 +602,8 @@ constexpr std::size_t kVectoredBlock = 256;
 // header load and payload-pointer chase stalls behind the previous
 // packet's, and the out-of-order window can only overlap a couple of
 // neighbors. Profiling dpi showed exactly this: ~60% of its per-packet
-// cost was the *first touch* of the payload bytes, identical in both
-// tiers, which is why no amount of op-level fusion moved the ratio.
+// cost was the *first touch* of the payload bytes, which no amount of
+// op-level fusion can remove.
 //
 // The vectored executor (the VPP idea, applied to threaded code)
 // instead visits each *op* once, in topological order, draining a queue
@@ -809,12 +625,7 @@ template <typename IdxFn>
 void DataplaneEngine::batch_vectored(std::span<const netsim::Packet> packets,
                                      std::size_t count, IdxFn idx,
                                      BatchOutput& out) {
-  const ThreadedCode& tc = *threaded_;
-  const ThreadedOp* const code = tc.code.data();
-  const std::vector<Needle>& needles = table_.needles;
-  const auto test_ops = static_cast<std::int32_t>(tc.node_ops);
-
-  vec_q_.resize(tc.code.size());
+  vec_q_.resize(threaded_->code.size());
   vec_term_.resize(count);
   out.matched.reserve(out.matched.size() + count);
   // Sweep in blocks, not the whole batch at once: a block's packet
@@ -948,8 +759,7 @@ void DataplaneEngine::batch_vectored_block(
     } else if (o.op != TOp::kDrop) {
       cur_ = in;
       env_.input_packet = in;
-      apply_leaf_batch(table_.leaves[static_cast<std::size_t>(o.aux)], *in, gi,
-                       out);
+      apply_leaf(table_.leaves[static_cast<std::size_t>(o.aux)], *in, gi, out);
     }
   }
 }
@@ -977,14 +787,16 @@ void DataplaneEngine::batch_threaded(std::span<const netsim::Packet> packets,
   std::int32_t pc = 0;
   const ThreadedOp* op = nullptr;
 
-#if NFACTOR_DATAPLANE_THREADED
-  // The dispatch machine is cloned from run_threaded (label addresses
-  // are function-local) with the batch loop folded *into* it: terminal
-  // ops write their output and jump straight to the next packet's
-  // entry, so the steady state has no per-packet call/return and no
-  // terminal re-decode. Pure terminals (kForward/kDrop) finish without
-  // environment setup or leaf-table access — the common case for
-  // filter-shaped NFs.
+  // Direct-threaded dispatch: every op ends by jumping straight to the
+  // next op's label through a label-address table. Unlike a switch loop,
+  // each op gets its *own* indirect branch, so the predictor can learn
+  // the per-op successor distribution (node i's jump almost always
+  // targets the same two labels). The batch loop is folded *into* the
+  // machine: terminal ops write their output and jump straight to the
+  // next packet's entry, so the steady state has no per-packet
+  // call/return and no terminal re-decode. Pure terminals
+  // (kForward/kDrop) finish without environment setup or leaf-table
+  // access — the common case for filter-shaped NFs.
   static const void* const kDispatch[] = {
       &&op_cmp_raw8,  &&op_cmp_raw16,   &&op_cmp_raw32, &&op_cmp_gen,
       &&op_mask_cmp,  &&op_contains,    &&op_contains_or,
@@ -1067,48 +879,21 @@ op_leaf:
   out.matched.push_back(op->entry);
   cur_ = in;
   env_.input_packet = in;
-  apply_leaf_batch(table_.leaves[static_cast<std::size_t>(op->aux)], *in, gi,
-                   out);
+  apply_leaf(table_.leaves[static_cast<std::size_t>(op->aux)], *in, gi, out);
   goto next_packet;
 batch_done:;
 #undef NFACTOR_TC_DISPATCH
-
-#else  // portable switch fallback — per-packet run_threaded + terminals
-  (void)needles;
-  (void)entry_pc;
-  (void)base;
-  (void)pc;
-  for (; i < count; ++i) {
-    gi = idx(i);
-    in = &packets[static_cast<std::size_t>(gi)];
-    op = code + run_threaded(*in);
-    out.matched.push_back(op->entry);
-    if (op->op == TOp::kForward) {
-      BatchOutput::Send& slot = out.next_slot();
-      slot.view_ = in;  // single unmodified send: forward by view
-      slot.port = op->port;
-      slot.src = gi;
-      ++out.used_;
-      continue;
-    }
-    if (op->op == TOp::kDrop) continue;
-    cur_ = in;
-    env_.input_packet = in;
-    apply_leaf_batch(table_.leaves[static_cast<std::size_t>(op->aux)], *in, gi,
-                     out);
-  }
-#endif
   OBS_COUNT_N("dataplane.packets", count);
 }
 
-void DataplaneEngine::execute_batch_threaded(
-    std::span<const netsim::Packet> packets, BatchOutput& out) {
+void DataplaneEngine::execute_batch(std::span<const netsim::Packet> packets,
+                                    BatchOutput& out) {
   batch_threaded(packets, packets.size(), SeqIdx{}, out);
 }
 
-void DataplaneEngine::execute_indexed_threaded(
-    std::span<const netsim::Packet> packets,
-    std::span<const std::int32_t> idx, BatchOutput& out) {
+void DataplaneEngine::execute_indexed(std::span<const netsim::Packet> packets,
+                                      std::span<const std::int32_t> idx,
+                                      BatchOutput& out) {
   batch_threaded(packets, idx.size(), ArrIdx{idx.data()}, out);
 }
 

@@ -1,17 +1,13 @@
-// Dataplane tier 2: threaded-code execution (docs/dataplane.md).
+// Threaded code: the dataplane engine's one executor (docs/dataplane.md).
 //
-// Tier 1 walks the FlatNode array generically: every node re-inspects
-// its predicate's FusedPred kind and comparison opcode, so each hop
-// pays a chain of data-dependent branches before it even evaluates the
-// packet. Tier 2 lowers the same array once, at engine construction,
-// into a contiguous *threaded program*:
+// DataplaneEngine lowers a CompiledTable's FlatNode array once, at
+// construction, into a contiguous *threaded program*:
 //
-//   - predicates are *split*: an and/or/not tree (a fused two-term
-//     pred, or a pure stack program reconstructed into its expression
-//     tree) becomes a chain of single-test ops wired together by branch
-//     targets, so conjunctions and disjunctions short-circuit — a
-//     packet that fails `dport == 21` never pays the payload scan the
-//     table walk's stack machine would have run unconditionally;
+//   - predicates are *split*: a pure stack program is rebuilt into its
+//     and/or/not expression tree, which becomes a chain of single-test
+//     ops wired together by branch targets, so conjunctions and
+//     disjunctions short-circuit — a packet that fails `dport == 21`
+//     never pays the payload scan behind it;
 //   - each single test is one superinstruction: comparisons load the
 //     field as a raw byte/half/word at a precomputed offset into
 //     netsim::Packet (kCmpRaw8/16/32; computed fields keep the generic
@@ -26,10 +22,8 @@
 //     without any environment setup (kForward/kDrop); everything else
 //     falls back to the shared generic leaf application (kLeaf).
 //
-// Dispatch is computed goto (&&label address table) under GCC/Clang;
-// configuring with -DNFACTOR_DATAPLANE_THREADED=OFF (or building with a
-// compiler without the extension) selects a portable switch loop with
-// identical semantics.
+// Dispatch is computed goto (&&label address table), so this code
+// builds with GCC and Clang only.
 //
 // Batches additionally get *vectored* execution when every test op is
 // pure: instead of running each packet to completion (one long
@@ -40,10 +34,10 @@
 // and state transitions are byte-identical to the scalar loop. See
 // batch_vectored in threaded.cpp.
 //
-// Both tiers share every piece of predicate fallback and leaf
-// machinery in DataplaneEngine, and their equivalence is enforced
-// corpus-wide by tests/dataplane_test.cpp and the fuzz oracle's
-// threaded leg.
+// Equivalence with model::ModelInterpreter is enforced corpus-wide by
+// tests/dataplane_test.cpp and the fuzz oracle's compiled leg; the
+// lowered code of every corpus NF is pinned by the goldens in
+// tests/golden/dataplane/<nf>.threaded.txt.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +49,9 @@
 namespace nfactor::dataplane {
 
 /// Threaded opcodes. The first block is the single-test shapes the
-/// predicate splitter emits; kProg/kGeneric are the tier-1 fallbacks
-/// (stack program / symbolic evaluator) for trees the splitter cannot
-/// take apart; the terminal block ends a packet. Order matters: the
+/// predicate splitter emits; kProg/kGeneric are the fallbacks (stack
+/// program / symbolic evaluator) for trees the splitter cannot take
+/// apart; the terminal block ends a packet. Order matters: the
 /// computed-goto label table in threaded.cpp is indexed by this enum.
 enum class TOp : std::uint8_t {
   kCmpRaw8,   ///< u8  at off, relation-mask branch against k1
@@ -119,8 +113,8 @@ struct ThreadedCode {
   std::size_t scan_ops = 0;  ///< kContains + kContainsOr ops (payload readers)
   std::size_t pure_terminals = 0;  ///< kForward + kDrop terminals
 
-  /// Deterministic text rendering (nf-synth --compile --tier 2).
-  /// Byte-identical at any --jobs width and across dispatch modes.
+  /// Deterministic text rendering (the second half of nf-synth
+  /// --compile). Byte-identical at any --jobs width.
   std::string to_text(const CompiledTable& table) const;
 };
 
@@ -128,9 +122,9 @@ struct ThreadedCode {
 /// table, so it is exactly as deterministic as compile() itself.
 ThreadedCode lower_threaded(const CompiledTable& table);
 
-/// True when this build dispatches by computed goto; false when the
-/// portable switch fallback is active (NFACTOR_DATAPLANE_THREADED=0 or
-/// a compiler without the labels-as-values extension).
+/// Always true: computed goto is the only dispatch. Compatibility shim
+/// for perfbench/, which stamps the dispatch mode into its records; it
+/// stays until the next benchmark change.
 bool threaded_dispatch_is_computed_goto();
 
 }  // namespace nfactor::dataplane

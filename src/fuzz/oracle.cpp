@@ -86,13 +86,13 @@ struct CompiledMismatch {
 /// final value of every output-impacting state variable.
 std::optional<CompiledMismatch> check_compiled(
     const pipeline::PipelineResult& r,
-    std::span<const netsim::Packet> packets, dataplane::Tier tier) {
+    std::span<const netsim::Packet> packets) {
   const auto store = model::initial_store(*r.module);
   dataplane::CompileOptions copts;
   copts.bindings = &store;
   const dataplane::CompiledTable table = dataplane::compile(r.model, copts);
   model::ModelInterpreter mi(r.model, store);
-  dataplane::DataplaneEngine eng(table, store, dataplane::EngineOptions{tier});
+  dataplane::DataplaneEngine eng(table, store);
   for (std::size_t k = 0; k < packets.size(); ++k) {
     const model::ModelOutput a = mi.process(packets[k]);
     const model::ModelOutput b = eng.process(packets[k]);
@@ -381,25 +381,11 @@ OracleReport DifferentialOracle::run(const std::string& source) const {
         report.detail = std::string("interpreter: ") + e.what();
         return report;
       }
-      // Both dataplane tiers ride the compiled leg: tier 1 (table walk)
-      // and tier 2 (threaded code) each replay the batch in lockstep
-      // with the model interpreter.
-      struct TierLeg {
-        dataplane::Tier tier;
-        bool enabled;
-        const char* label;
-      };
-      const TierLeg tier_legs[] = {
-          {dataplane::Tier::kTableWalk, opts_.compiled_leg, "compiled"},
-          {dataplane::Tier::kThreaded,
-           opts_.compiled_leg && opts_.threaded_leg, "threaded"},
-      };
-      for (const TierLeg& tl : tier_legs) {
-        if (!tl.enabled) continue;
+      if (opts_.compiled_leg) {
         try {
-          if (auto mm = check_compiled(r, packets, tl.tier)) {
+          if (auto mm = check_compiled(r, packets)) {
             report.cls = FailureClass::kCompiledDivergence;
-            report.leg = leg.name() + " " + tl.label;
+            report.leg = leg.name() + " compiled";
             report.detail = mm->msg;
             if (opts_.attach_provenance) {
               attach_entry_provenance(report, r.provenance, mm->entry);
@@ -408,8 +394,8 @@ OracleReport DifferentialOracle::run(const std::string& source) const {
           }
         } catch (const std::exception& e) {
           report.cls = FailureClass::kCrash;
-          report.leg = leg.name() + " " + tl.label;
-          report.detail = std::string(tl.label) + ": " + e.what();
+          report.leg = leg.name() + " compiled";
+          report.detail = std::string("compiled: ") + e.what();
           return report;
         }
       }

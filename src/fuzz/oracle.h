@@ -51,10 +51,6 @@ struct OracleOptions {
   /// dataplane compiler rides the same differential wall as everything
   /// else (nf-fuzz --no-compiled-leg to disable).
   bool compiled_leg = true;
-  /// Replay the compiled leg a second time on the threaded (tier-2)
-  /// engine — computed-goto dispatch must match the model interpreter
-  /// exactly like the table walk does (nf-fuzz --no-threaded-leg).
-  bool threaded_leg = true;
   /// Run the baseline leg's model through ShardedDataplane at 2 and 3
   /// shards and hold every shard to its reference contract: verdicts,
   /// sends, and post-state byte-equal to a single engine fed that

@@ -1,5 +1,6 @@
 #include "netsim/trace.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -65,8 +66,18 @@ std::vector<Packet> read_trace(const std::string& path) {
     throw std::runtime_error("not an NFTR trace: " + path);
   }
   const std::uint32_t count = get_u32(in);
+  // The header count is untrusted: every frame needs at least its
+  // 6-byte header, so reserve no more frames than the rest of the file
+  // can hold. A lying count then fails as a truncated trace instead of
+  // asking for up to ~340 GB up front.
+  constexpr std::uint64_t kFrameHeaderBytes = 6;
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto rest = static_cast<std::uint64_t>(in.tellg() - body);
+  in.seekg(body);
   std::vector<Packet> out;
-  out.reserve(count);
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, rest / kFrameHeaderBytes)));
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint16_t in_port = get_u16(in);
     const std::uint32_t len = get_u32(in);

@@ -112,7 +112,7 @@ TEST(FlowHash, ShardAssignmentStableAcrossRunsAndCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: sharded vs single, corpus-wide, both tiers
+// Equivalence: sharded vs single, corpus-wide
 // ---------------------------------------------------------------------------
 
 class ShardedCorpus : public ::testing::TestWithParam<nfs::CorpusEntry> {};
@@ -152,63 +152,59 @@ TEST_P(ShardedCorpus, OneShardEqualsUnshardedEngine) {
 
 /// The universal contract: each shard behaves exactly like a single
 /// engine fed that shard's packet subsequence — regardless of whether
-/// the NF is flow-partitionable. Checked at 2 and 8 shards, on both
-/// execution tiers.
+/// the NF is flow-partitionable. Checked at 2 and 8 shards.
 TEST_P(ShardedCorpus, EveryShardMatchesAReferenceEngine) {
   const CompiledNf nf = compile_nf(std::string(GetParam().name));
   const auto packets = flow_batch();
-  for (const Tier tier : {Tier::kTableWalk, Tier::kThreaded}) {
-    for (const int shards : {2, 8}) {
-      ShardOptions opts;
-      opts.shards = shards;
-      opts.engine.tier = tier;
-      ShardedDataplane sharded(nf.table, nf.store, opts);
-      ShardedOutput out;
-      sharded.execute_batch(packets, out);
-      ASSERT_EQ(out.matched.size(), packets.size());
-      ASSERT_EQ(out.shard_of.size(), packets.size());
+  for (const int shards : {2, 8}) {
+    ShardOptions opts;
+    opts.shards = shards;
+    ShardedDataplane sharded(nf.table, nf.store, opts);
+    ShardedOutput out;
+    sharded.execute_batch(packets, out);
+    ASSERT_EQ(out.matched.size(), packets.size());
+    ASSERT_EQ(out.shard_of.size(), packets.size());
 
-      for (int s = 0; s < shards; ++s) {
-        // Reference: a fresh single engine over this shard's packets.
-        std::vector<netsim::Packet> sub;
-        std::vector<std::size_t> sub_src;
-        for (std::size_t i = 0; i < packets.size(); ++i) {
-          if (out.shard_of[i] == s) {
-            sub.push_back(packets[i]);
-            sub_src.push_back(i);
-          }
+    for (int s = 0; s < shards; ++s) {
+      // Reference: a fresh single engine over this shard's packets.
+      std::vector<netsim::Packet> sub;
+      std::vector<std::size_t> sub_src;
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        if (out.shard_of[i] == s) {
+          sub.push_back(packets[i]);
+          sub_src.push_back(i);
         }
-        DataplaneEngine ref(nf.table, nf.store);
-        BatchOutput rout;
-        ref.execute_batch(sub, rout);
+      }
+      DataplaneEngine ref(nf.table, nf.store);
+      BatchOutput rout;
+      ref.execute_batch(sub, rout);
 
-        const auto& shard_out = out.shard_outputs()[static_cast<std::size_t>(s)];
-        ASSERT_EQ(shard_out.matched.size(), sub.size())
-            << GetParam().name << " shard " << s << "/" << shards;
-        for (std::size_t j = 0; j < sub.size(); ++j) {
-          EXPECT_EQ(rout.matched[j], shard_out.matched[j])
-              << GetParam().name << " shard " << s << " packet " << j;
-          EXPECT_EQ(rout.matched[j], out.matched[sub_src[j]]);
-        }
-        const auto rs = rout.sends();
-        const auto ss = shard_out.sends();
-        ASSERT_EQ(rs.size(), ss.size())
-            << GetParam().name << " shard " << s << "/" << shards;
-        for (std::size_t j = 0; j < rs.size(); ++j) {
-          // Reference srcs index the subsequence; shard srcs are global.
-          EXPECT_EQ(sub_src[static_cast<std::size_t>(rs[j].src)],
-                    static_cast<std::size_t>(ss[j].src));
-          EXPECT_EQ(rs[j].port, ss[j].port);
-          EXPECT_TRUE(rs[j].packet() == ss[j].packet());
-        }
-        for (const std::string& v : nf.r.model.ois_vars) {
-          const Value* a = ref.state(v);
-          const Value* b = sharded.engine(s).state(v);
-          ASSERT_EQ(a == nullptr, b == nullptr) << v;
-          if (a != nullptr) {
-            EXPECT_TRUE(runtime::value_eq(*a, *b))
-                << GetParam().name << " shard " << s << " state " << v;
-          }
+      const auto& shard_out = out.shard_outputs()[static_cast<std::size_t>(s)];
+      ASSERT_EQ(shard_out.matched.size(), sub.size())
+          << GetParam().name << " shard " << s << "/" << shards;
+      for (std::size_t j = 0; j < sub.size(); ++j) {
+        EXPECT_EQ(rout.matched[j], shard_out.matched[j])
+            << GetParam().name << " shard " << s << " packet " << j;
+        EXPECT_EQ(rout.matched[j], out.matched[sub_src[j]]);
+      }
+      const auto rs = rout.sends();
+      const auto ss = shard_out.sends();
+      ASSERT_EQ(rs.size(), ss.size())
+          << GetParam().name << " shard " << s << "/" << shards;
+      for (std::size_t j = 0; j < rs.size(); ++j) {
+        // Reference srcs index the subsequence; shard srcs are global.
+        EXPECT_EQ(sub_src[static_cast<std::size_t>(rs[j].src)],
+                  static_cast<std::size_t>(ss[j].src));
+        EXPECT_EQ(rs[j].port, ss[j].port);
+        EXPECT_TRUE(rs[j].packet() == ss[j].packet());
+      }
+      for (const std::string& v : nf.r.model.ois_vars) {
+        const Value* a = ref.state(v);
+        const Value* b = sharded.engine(s).state(v);
+        ASSERT_EQ(a == nullptr, b == nullptr) << v;
+        if (a != nullptr) {
+          EXPECT_TRUE(runtime::value_eq(*a, *b))
+              << GetParam().name << " shard " << s << " state " << v;
         }
       }
     }
@@ -327,17 +323,14 @@ TEST(ShardedStress, RepeatedBatchesAtOneTwoEightShards) {
   const CompiledNf nf = compile_nf("firewall");
   netsim::PacketGen gen(13);
   for (const int shards : {1, 2, 8}) {
-    for (const Tier tier : {Tier::kTableWalk, Tier::kThreaded}) {
-      ShardOptions opts;
-      opts.shards = shards;
-      opts.engine.tier = tier;
-      ShardedDataplane sd(nf.table, nf.store, opts);
-      ShardedOutput out;
-      for (int round = 0; round < 5; ++round) {
-        const auto packets = gen.batch(200);
-        sd.execute_batch(packets, out);
-        ASSERT_EQ(out.matched.size(), packets.size());
-      }
+    ShardOptions opts;
+    opts.shards = shards;
+    ShardedDataplane sd(nf.table, nf.store, opts);
+    ShardedOutput out;
+    for (int round = 0; round < 5; ++round) {
+      const auto packets = gen.batch(200);
+      sd.execute_batch(packets, out);
+      ASSERT_EQ(out.matched.size(), packets.size());
     }
   }
 }

@@ -62,6 +62,14 @@ TEST(TraceFile, RejectsTruncatedFrame) {
   EXPECT_THROW(read_trace(path), std::runtime_error);
 }
 
+TEST(TraceFile, RejectsHeaderCountBeyondFileSize) {
+  // Magic plus a frame count of 0xFFFFFFFF and no frames: the reader
+  // must report a truncated trace, not try to reserve ~340 GB.
+  const std::string path = tmp_path("hugecount.nftr");
+  std::ofstream(path, std::ios::binary) << "NFTR\xFF\xFF\xFF\xFF";
+  EXPECT_THROW(read_trace(path), std::runtime_error);
+}
+
 TEST(TraceFile, RejectsCorruptedFrameChecksum) {
   PacketGen gen(4);
   const auto packets = gen.batch(2);
