@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -61,6 +62,14 @@ std::string class_slug(fuzz::FaultClass cls) {
     case fuzz::FaultClass::kMissingStateUpdate: return "missing_state_update";
   }
   return "unknown";
+}
+
+// gtest lists a parameter next to each test name, and ctest's test names
+// keep that text; the default byte dump would embed the address of `nf`,
+// which moves with every run of the binary.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << c.nf << "/" << class_slug(c.cls) << " seed " << c.seed << " line "
+      << c.faulty_line;
 }
 
 std::string fixture_path(const DiffCase& c) {

@@ -5,6 +5,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "model/model.h"
 #include "netsim/packet_gen.h"
@@ -112,12 +114,15 @@ struct SeedCase {
   std::uint64_t seed;
 };
 
+// The NF name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, and ctest's test names would then
+// change with every run of the binary.
 class SeededDifferential
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SeededDifferential, ModelMatchesOriginalOn1000Packets) {
-  const auto [nf, seed] = GetParam();
-  const auto r = run_nf(nf);
+  const auto& [nf, seed] = GetParam();
+  const auto r = run_nf(nf.c_str());
   netsim::GenConfig cfg;
   cfg.udp_fraction = 0.2;  // exercise non-TCP handling too
   netsim::PacketGen gen(static_cast<std::uint64_t>(seed) * 7919u, cfg);
