@@ -48,18 +48,15 @@ inline void rule(char c = '-') {
 }
 
 /// Run metadata stamped into every metrics JSON under the "meta" key:
-/// git SHA and build type (configure-time), the NFACTOR_OBS and
-/// NFACTOR_SYMEX_INTERN switches, and the default SE worker width.
-/// check_perf_baseline.py prints this on a gate failure so a regression
-/// report always names the build that produced the numbers.
+/// git SHA and build type (configure-time), the NFACTOR_OBS switch, and
+/// the default SE worker width. check_perf_baseline.py prints this on a
+/// gate failure so a regression report always names the build that
+/// produced the numbers.
 inline std::string meta_json() {
-  const char* intern_env = std::getenv("NFACTOR_SYMEX_INTERN");
-  const bool intern_on = intern_env == nullptr || std::strcmp(intern_env, "0") != 0;
   std::ostringstream os;
   os << "{\"git_sha\":\"" << obs::json_escape(NFACTOR_GIT_SHA)
      << "\",\"build_type\":\"" << obs::json_escape(NFACTOR_BUILD_TYPE)
      << "\",\"obs\":" << (NFACTOR_OBS_ENABLED ? "true" : "false")
-     << ",\"symex_intern\":" << (intern_on ? "true" : "false")
      << ",\"jobs\":" << std::thread::hardware_concurrency() << "}";
   return os.str();
 }

@@ -3,15 +3,35 @@
 //      model (its entries ARE the paths) versus over the original code;
 //  (2) stateful header-space verification — each model entry as a
 //      transfer function T(h, p, s), composed along a FW -> IDS -> LB
-//      service chain, answering reachability queries with the solver.
+//      service chain (a path topology), answering reachability queries
+//      with the solver.
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "verify/hsa.h"
+#include "verify/topology.h"
 
 namespace {
 
 using namespace nfactor;
+
+/// FW -> IDS -> LB as a path topology over the corpus models (config
+/// symbolic, so `ids_cfg` pins select the IDS table).
+struct ChainModels {
+  pipeline::PipelineResult fw = benchutil::run_nf("firewall");
+  pipeline::PipelineResult ids = benchutil::run_nf("snort_lite");
+  pipeline::PipelineResult lb = benchutil::run_nf("lb");
+
+  verify::Topology chain(const std::string& ids_cfg) const {
+    return verify::parse_topology(
+        "node fw firewall\nnode ids snort_lite " + ids_cfg +
+            "\nnode lb lb\ningress in -> fw:*\nedge fw:* -> ids:0\n"
+            "edge ids:* -> lb:0\negress out <- lb:*\n",
+        [this](const std::string& nf) -> verify::NodeModels {
+          const auto& r = nf == "firewall" ? fw : nf == "lb" ? lb : ids;
+          return {&r.model, r.module.get()};
+        });
+  }
+};
 
 void report() {
   std::printf("§4 Network Verification with NFactor models\n");
@@ -40,69 +60,52 @@ void report() {
 
   // ---- (2) stateful reachability over a chain ----------------------------
   std::printf("\n(2) stateful reachability: FW -> IDS(snort) -> LB chain\n");
-  const auto fw = benchutil::run_nf("firewall");
-  const auto ids = benchutil::run_nf("snort_lite");
-  const auto lb = benchutil::run_nf("lb");
   // Pin the IDS to its deployed inline-drop configuration; without the
   // pin, queries quantify over all configs (alert-only would forward).
-  const auto inline_drop = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("INLINE_DROP", symex::VarClass::kCfg),
-      symex::make_int(1));
-  const std::vector<verify::ChainHop> chain = {
-      {"fw", &fw.model, {}},
-      {"ids", &ids.model, {inline_drop}},
-      {"lb", &lb.model, {}}};
+  const ChainModels models;
+  const verify::Topology chain = models.chain("cfg INLINE_DROP=1");
 
   struct Query {
     const char* what;
-    std::vector<symex::SymRef> ingress;
+    const char* where;
     bool expected;
   };
-  using symex::make_bin;
-  using symex::make_int;
-  using symex::make_var;
-  const auto pktvar = [](const char* f) {
-    return make_var(std::string("pkt.") + f, symex::VarClass::kPkt);
+  const Query queries[] = {
+      {"any packet at all", "", true},
+      {"LAN HTTP flow (dport 80, tcp)",
+       " where pkt.dport == 80 && pkt.ip_proto == 6 && pkt.in_port == 0", true},
+      {"telnet (tcp dport 23) must be blocked by IDS",
+       " where pkt.dport == 23 && pkt.ip_proto == 6", false},
+      {"tftp (udp dport 69) must be blocked by IDS",
+       " where pkt.dport == 69 && pkt.ip_proto == 17", false},
   };
-  std::vector<Query> queries;
-  queries.push_back({"any packet at all", {}, true});
-  queries.push_back({"LAN HTTP flow (dport 80, tcp)",
-                     {make_bin(lang::BinOp::kEq, pktvar("dport"), make_int(80)),
-                      make_bin(lang::BinOp::kEq, pktvar("ip_proto"), make_int(6)),
-                      make_bin(lang::BinOp::kEq, pktvar("in_port"), make_int(0))},
-                     true});
-  queries.push_back({"telnet (tcp dport 23) must be blocked by IDS",
-                     {make_bin(lang::BinOp::kEq, pktvar("dport"), make_int(23)),
-                      make_bin(lang::BinOp::kEq, pktvar("ip_proto"), make_int(6))},
-                     false});
-  queries.push_back({"tftp (udp dport 69) must be blocked by IDS",
-                     {make_bin(lang::BinOp::kEq, pktvar("dport"), make_int(69)),
-                      make_bin(lang::BinOp::kEq, pktvar("ip_proto"), make_int(17))},
-                     false});
 
   std::printf("%-45s | %-9s | %s\n", "query (ingress constraint)", "result",
               "expected");
   benchutil::rule();
+  verify::QueryOptions opts;
+  opts.max_paths = 8;
   for (const auto& q : queries) {
-    const auto res = verify::reachable(chain, q.ingress, 8);
+    const auto res = verify::run_query(
+        chain, verify::parse_query(std::string("reach in out") + q.where), opts);
     std::printf("%-45s | %-9s | %s  (%zu feasible, %zu infeasible pruned)\n",
-                q.what, res.any() ? "REACHABLE" : "blocked",
-                q.expected ? "reachable" : "blocked",
-                res.delivered.size(), res.infeasible);
+                q.what, res.sat ? "REACHABLE" : "blocked",
+                q.expected ? "reachable" : "blocked", res.paths.size(),
+                res.stats.infeasible);
   }
   benchutil::rule();
   std::printf("\n");
 }
 
 void BM_ChainReachability(benchmark::State& state) {
-  const auto fw = benchutil::run_nf("firewall");
-  const auto ids = benchutil::run_nf("snort_lite");
-  const auto lb = benchutil::run_nf("lb");
-  const std::vector<verify::ChainHop> chain = {
-      {"fw", &fw.model, {}}, {"ids", &ids.model, {}}, {"lb", &lb.model, {}}};
+  const ChainModels models;
+  const verify::Topology chain = models.chain("");
+  const verify::Query q = verify::parse_query("reach in out");
+  verify::QueryOptions opts;
+  opts.max_paths = 8;
   for (auto _ : state) {
-    auto res = verify::reachable(chain, {}, 8);
-    benchmark::DoNotOptimize(res.delivered.size());
+    auto res = verify::run_query(chain, q, opts);
+    benchmark::DoNotOptimize(res.paths.size());
   }
 }
 BENCHMARK(BM_ChainReachability)->Unit(benchmark::kMillisecond);

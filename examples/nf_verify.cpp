@@ -1,7 +1,8 @@
 // nf-verify — network-scale topology verification with concrete witness
 // replay (docs/verification.md). Loads a .topo file whose nodes name
 // corpus NFs (or .nf file paths), synthesizes each distinct NF's model
-// once in-process, then answers reachability / isolation / waypoint
+// once in-process (once more without config folding if an instance pins
+// its config), then answers reachability / isolation / waypoint
 // queries over the instance graph. Every SAT verdict is backed, when
 // possible, by a concrete witness packet replayed hop-by-hop through
 // the model interpreter, the wire codec and the compiled dataplane.
@@ -21,6 +22,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_common.h"
@@ -60,20 +62,18 @@ bool parse_int(const std::string& s, int min, int& out) {
   }
 }
 
-/// Synthesizes each distinct NF once; results live here so model/module
-/// pointers stay stable for the Topology's lifetime.
+/// Synthesizes each distinct NF once per folding mode; results live here
+/// so model/module pointers stay stable for the Topology's lifetime.
+/// Production settings match nf-synth: simplify with config folding, so
+/// models match the documented corpus tables. An instance with `cfg`
+/// pins needs its config symbolic, so it gets the model without folding.
 class Synthesizer {
  public:
-  explicit Synthesizer(int jobs) {
-    opts_.jobs = jobs;
-    // Production pipeline settings, matching nf-synth: simplify with
-    // config folding so models match the documented corpus tables.
-    opts_.simplify.enabled = true;
-    opts_.simplify.fold_config = true;
-  }
+  explicit Synthesizer(int jobs) : jobs_(jobs) {}
 
-  nfactor::verify::NodeModels resolve(const std::string& nf) {
-    const auto it = cache_.find(nf);
+  nfactor::verify::NodeModels resolve(const std::string& nf, bool fold_config) {
+    const auto key = std::make_pair(nf, fold_config);
+    const auto it = cache_.find(key);
     if (it != cache_.end()) {
       return {&it->second.model, it->second.module.get()};
     }
@@ -91,14 +91,19 @@ class Synthesizer {
         return {};
       }
     }
-    auto result = nfactor::pipeline::run_source(source, nf, opts_);
-    const auto [pos, _] = cache_.emplace(nf, std::move(result));
+    nfactor::pipeline::PipelineOptions opts;
+    opts.jobs = jobs_;
+    opts.simplify.enabled = true;
+    opts.simplify.fold_config = fold_config;
+    auto result = nfactor::pipeline::run_source(source, nf, opts);
+    const auto [pos, _] = cache_.emplace(key, std::move(result));
     return {&pos->second.model, pos->second.module.get()};
   }
 
  private:
-  nfactor::pipeline::PipelineOptions opts_;
-  std::map<std::string, nfactor::pipeline::PipelineResult> cache_;
+  int jobs_;
+  std::map<std::pair<std::string, bool>, nfactor::pipeline::PipelineResult>
+      cache_;
 };
 
 }  // namespace
@@ -172,7 +177,9 @@ int main(int argc, char** argv) {
   verify::Topology topo;
   try {
     topo = verify::parse_topology(
-        ss.str(), [&](const std::string& nf) { return synth.resolve(nf); });
+        ss.str(),
+        [&](const std::string& nf) { return synth.resolve(nf, true); },
+        [&](const std::string& nf) { return synth.resolve(nf, false); });
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 2;

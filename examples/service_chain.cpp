@@ -1,13 +1,16 @@
 // Service-chain example (paper §4): extract models for a firewall, an
 // IDS and a load balancer, let the PGA-style composer order the chain,
 // then verify end-to-end reachability properties of the composed chain
-// with the stateful header-space checker.
+// as a path topology (verify/topology.h).
 #include <cstdio>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "nfactor/pipeline.h"
 #include "nfs/corpus.h"
 #include "verify/chain.h"
-#include "verify/hsa.h"
+#include "verify/topology.h"
 
 int main() {
   using namespace nfactor;
@@ -35,43 +38,49 @@ int main() {
   }
   std::printf("\n\n");
 
-  // 3. Verify the composed chain: telnet must never reach the backends.
-  const auto pin = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("INLINE_DROP", symex::VarClass::kCfg),
-      symex::make_int(1));
-  std::vector<verify::ChainHop> chain;
-  for (const auto& name : advice.order) {
-    if (name == "fw") chain.push_back({"fw", &fw.model, {}});
-    if (name == "ids") chain.push_back({"ids", &ids.model, {pin}});
-    if (name == "lb") chain.push_back({"lb", &lb.model, {}});
+  // 3. Verify the composed chain, a path topology: each hop's emissions
+  //    feed the next hop's port 0, and the IDS is pinned to inline-drop.
+  const std::map<std::string, std::string> node_spec = {
+      {"fw", "firewall"}, {"ids", "snort_lite cfg INLINE_DROP=1"}, {"lb", "lb"}};
+  const std::map<std::string, const pipeline::PipelineResult*> models = {
+      {"firewall", &fw}, {"snort_lite", &ids}, {"lb", &lb}};
+  std::ostringstream topo_text;
+  for (std::size_t i = 0; i < advice.order.size(); ++i) {
+    const std::string& id = advice.order[i];
+    topo_text << "node " << id << " " << node_spec.at(id) << "\n";
+    if (i == 0) topo_text << "ingress in -> " << id << ":*\n";
+    if (i > 0) topo_text << "edge " << advice.order[i - 1] << ":* -> " << id << ":0\n";
   }
+  topo_text << "egress out <- " << advice.order.back() << ":*\n";
+  const verify::Topology chain = verify::parse_topology(
+      topo_text.str(), [&](const std::string& nf) -> verify::NodeModels {
+        const pipeline::PipelineResult* r = models.at(nf);
+        return {&r->model, r->module.get()};
+      });
 
-  const auto pktvar = [](const char* f) {
-    return symex::make_var(std::string("pkt.") + f, symex::VarClass::kPkt);
-  };
-  const auto telnet = std::vector<symex::SymRef>{
-      symex::make_bin(lang::BinOp::kEq, pktvar("ip_proto"), symex::make_int(6)),
-      symex::make_bin(lang::BinOp::kEq, pktvar("dport"), symex::make_int(23))};
-  const auto web = std::vector<symex::SymRef>{
-      symex::make_bin(lang::BinOp::kEq, pktvar("ip_proto"), symex::make_int(6)),
-      symex::make_bin(lang::BinOp::kEq, pktvar("dport"), symex::make_int(80)),
-      symex::make_bin(lang::BinOp::kEq, pktvar("in_port"), symex::make_int(0))};
+  verify::QueryOptions opts;
+  opts.max_paths = 16;
+  const auto telnet = verify::run_query(
+      chain, verify::parse_query("reach in out where pkt.ip_proto == 6 && "
+                                 "pkt.dport == 23"),
+      opts);
+  const auto web = verify::run_query(
+      chain, verify::parse_query("reach in out where pkt.ip_proto == 6 && "
+                                 "pkt.dport == 80 && pkt.in_port == 0"),
+      opts);
 
   std::printf("chain verification:\n");
   std::printf("  telnet reaches egress: %s (want: no)\n",
-              verify::can_reach_egress(chain, telnet) ? "YES - POLICY VIOLATION"
-                                                      : "no");
-  const auto web_paths = verify::reachable(chain, web, 16);
+              telnet.sat ? "YES - POLICY VIOLATION" : "no");
   std::printf("  web traffic reaches egress: %s via %zu feasible path(s) "
               "(want: yes)\n",
-              web_paths.any() ? "yes" : "NO - BROKEN CHAIN",
-              web_paths.delivered.size());
+              web.sat ? "yes" : "NO - BROKEN CHAIN", web.paths.size());
 
   // Show one end-to-end path with the transformed header.
-  if (web_paths.any()) {
-    const auto& p = web_paths.delivered.front();
+  if (web.sat) {
+    const auto& p = web.paths.front();
     std::printf("\n  example end-to-end path (entry per hop:");
-    for (const int e : p.entry_index) std::printf(" %d", e);
+    for (const auto& h : p.hops) std::printf(" %s:%d", h.node.c_str(), h.entry);
     std::printf("), egress header:\n");
     for (const auto& [field, expr] : p.egress_fields) {
       // Only show fields the chain actually rewrote.

@@ -29,7 +29,7 @@ measurement, and are skipped without failing when the dump lacks them;
 --update fills them with real numbers once one environment is blessed.
 
 On failure the metrics file's "meta" stamp (git SHA, build type,
-NFACTOR_OBS / NFACTOR_SYMEX_INTERN, jobs) is printed so the report names
+NFACTOR_OBS, jobs) is printed so the report names
 the build that produced the numbers.
 
 Exit codes: 0 ok, 1 regression, 2 usage/missing data.

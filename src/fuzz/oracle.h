@@ -6,11 +6,6 @@
 // of that the oracle checks path-partition exclusivity (every concrete
 // packet satisfies exactly one non-truncated symbolic path) and that
 // parallel SE stays byte-identical to serial SE.
-//
-// The third matrix axis from the issue — expression interning on/off —
-// is a process-start environment toggle (NFACTOR_SYMEX_INTERN=0), so it
-// cannot be flipped per leg in-process; CI runs the whole fuzz smoke
-// under both settings instead (see .github/workflows/ci.yml fuzz-smoke).
 #pragma once
 
 #include <string>

@@ -108,9 +108,9 @@ class DiagnosticSink {
 
 class FrontendError : public std::runtime_error {
  public:
-  FrontendError(SourceLoc loc, const std::string& msg)
-      : std::runtime_error(Diagnostic{loc, msg, Severity::kError, {}}.render()),
-        diag_{loc, msg, Severity::kError, {}} {}
+  FrontendError(SourceLoc loc, const std::string& msg, std::string code = {})
+      : std::runtime_error(Diagnostic{loc, msg, Severity::kError, code}.render()),
+        diag_{loc, msg, Severity::kError, std::move(code)} {}
   const Diagnostic& diag() const { return diag_; }
 
  private:
@@ -125,6 +125,13 @@ class ParseError : public FrontendError {
 };
 class SemaError : public FrontendError {
   using FrontendError::FrontendError;
+};
+/// An expression nested past the parser's depth limit (NF105): parse,
+/// sema, lowering and SE all recurse on expression depth.
+class DepthError : public ParseError {
+ public:
+  DepthError(SourceLoc loc, const std::string& msg)
+      : ParseError(loc, msg, "NF105") {}
 };
 
 }  // namespace nfactor::lang

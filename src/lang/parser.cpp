@@ -1,6 +1,8 @@
 #include "lang/parser.h"
 
+#include <algorithm>
 #include <optional>
+#include <string>
 
 #include "lang/diagnostics.h"
 #include "lang/lexer.h"
@@ -293,43 +295,70 @@ class Parser {
     return std::make_unique<Binary>(bin, std::move(current), std::move(rhs), loc);
   }
 
+  // Expression depth. Later stages recurse on the expression tree, and
+  // so does this parser on nesting, so both are capped: `nesting_`
+  // counts the unary() frames currently open (parentheses, operands,
+  // prefix operators) before descending, and `depth_` is the height of
+  // the tree the last expression call returned, which also grows along
+  // left-associative chains that are parsed in a loop.
+  static constexpr int kMaxExprDepth = 256;
+
+  int checked_depth(int depth, SourceLoc loc) const {
+    if (depth > kMaxExprDepth) {
+      throw DepthError(loc, "expression nested deeper than " +
+                                std::to_string(kMaxExprDepth) + " levels");
+    }
+    return depth;
+  }
+
   ExprPtr expression(int min_prec = 0) {
     ExprPtr lhs = unary();
+    int depth = depth_;
     for (;;) {
       const int prec = precedence(cur().kind);
-      if (prec < min_prec || prec < 0) return lhs;
+      if (prec < min_prec || prec < 0) break;
       const Token op = advance();
       ExprPtr rhs = expression(prec + 1);  // all operators left-associative
+      depth = checked_depth(std::max(depth, depth_) + 1, op.loc);
       lhs = std::make_unique<Binary>(to_binop(op.kind), std::move(lhs),
                                      std::move(rhs), op.loc);
     }
+    depth_ = depth;
+    return lhs;
   }
 
   ExprPtr unary() {
-    if (at(Tok::kNot)) {
-      const SourceLoc loc = advance().loc;
-      return std::make_unique<Unary>(UnOp::kNot, unary(), loc);
+    checked_depth(++nesting_, cur().loc);
+    ExprPtr e;
+    if (at(Tok::kNot) || at(Tok::kMinus)) {
+      const Token op = advance();
+      e = std::make_unique<Unary>(op.kind == Tok::kNot ? UnOp::kNot : UnOp::kNeg,
+                                  unary(), op.loc);
+      depth_ = checked_depth(depth_ + 1, op.loc);
+    } else {
+      e = postfix();
     }
-    if (at(Tok::kMinus)) {
-      const SourceLoc loc = advance().loc;
-      return std::make_unique<Unary>(UnOp::kNeg, unary(), loc);
-    }
-    return postfix();
+    --nesting_;
+    return e;
   }
 
   ExprPtr postfix() {
     ExprPtr e = primary();
+    int depth = depth_;
     for (;;) {
       if (at(Tok::kLBracket)) {
         const SourceLoc loc = advance().loc;
         ExprPtr idx = expression();
         expect(Tok::kRBracket, "']'");
+        depth = checked_depth(std::max(depth, depth_) + 1, loc);
         e = std::make_unique<Index>(std::move(e), std::move(idx), loc);
       } else if (at(Tok::kDot) && peek().kind == Tok::kIdent) {
         const SourceLoc loc = advance().loc;
         std::string field = advance().text;
+        depth = checked_depth(depth + 1, loc);
         e = std::make_unique<FieldRef>(std::move(e), std::move(field), loc);
       } else {
+        depth_ = depth;
         return e;
       }
     }
@@ -337,6 +366,7 @@ class Parser {
 
   ExprPtr primary() {
     const Token t = cur();
+    depth_ = 1;  // a leaf; compound literals and calls set their own
     switch (t.kind) {
       case Tok::kInt:
         advance();
@@ -355,12 +385,15 @@ class Parser {
         if (at(Tok::kLParen)) {
           advance();
           std::vector<ExprPtr> args;
+          int depth = 0;
           if (!at(Tok::kRParen)) {
             do {
               args.push_back(expression());
+              depth = std::max(depth, depth_);
             } while (accept(Tok::kComma));
           }
           expect(Tok::kRParen, "')'");
+          depth_ = checked_depth(depth + 1, t.loc);
           return std::make_unique<Call>(t.text, std::move(args), t.loc);
         }
         return std::make_unique<VarRef>(t.text, t.loc);
@@ -371,10 +404,13 @@ class Parser {
         if (accept(Tok::kComma)) {
           std::vector<ExprPtr> elems;
           elems.push_back(std::move(first));
+          int depth = depth_;
           do {
             elems.push_back(expression());
+            depth = std::max(depth, depth_);
           } while (accept(Tok::kComma));
           expect(Tok::kRParen, "')'");
+          depth_ = checked_depth(depth + 1, t.loc);
           return std::make_unique<TupleLit>(std::move(elems), t.loc);
         }
         expect(Tok::kRParen, "')'");
@@ -383,11 +419,14 @@ class Parser {
       case Tok::kLBracket: {
         advance();
         std::vector<ExprPtr> elems;
+        int depth = 0;
         while (!at(Tok::kRBracket)) {
           elems.push_back(expression());
+          depth = std::max(depth, depth_);
           if (!accept(Tok::kComma)) break;  // trailing comma allowed
         }
         expect(Tok::kRBracket, "']'");
+        depth_ = checked_depth(depth + 1, t.loc);
         return std::make_unique<ListLit>(std::move(elems), t.loc);
       }
       case Tok::kLBrace: {
@@ -403,6 +442,8 @@ class Parser {
   std::vector<Token> toks_;
   std::string unit_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -88,6 +88,9 @@ bool lint_source(std::string_view source, const std::string& unit,
   } catch (const lang::LexError& e) {
     sink.report(e.diag().loc, lang::Severity::kError, "NF101",
                 e.diag().message);
+  } catch (const lang::DepthError& e) {
+    sink.report(e.diag().loc, lang::Severity::kError, "NF105",
+                e.diag().message);
   } catch (const lang::ParseError& e) {
     sink.report(e.diag().loc, lang::Severity::kError, "NF102",
                 e.diag().message);

@@ -13,7 +13,7 @@
 //                  what the paper's per-deployment models describe — and
 //                  is checked by verify::compare_action_sets_under_config.
 //
-// The pass is opt-in (PipelineOptions.simplify); nfactor_cli enables it
+// The pass is opt-in (PipelineOptions.simplify); nf-synth enables it
 // by default with a --no-simplify escape hatch.
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "model/validate.h"
 
-#include <set>
 #include <sstream>
 
 #include "symex/solver.h"
@@ -77,55 +76,6 @@ std::string ValidationReport::summary() const {
   for (const auto& i : issues) {
     os << "\n  [" << to_string(i.kind) << "] " << i.detail;
   }
-  return os.str();
-}
-
-std::string entry_signature(const ModelEntry& e) {
-  std::set<std::string> conds;
-  for (const auto& c : e.config_match) conds.insert(c->key());
-  for (const auto& c : e.flow_match) conds.insert(c->key());
-  for (const auto& c : e.state_match) conds.insert(c->key());
-  std::ostringstream os;
-  os << "M[";
-  for (const auto& c : conds) os << c << '&';
-  os << "] A[";
-  for (const auto& a : e.flow_action) {
-    os << "(";
-    for (const auto& [f, v] : a.rewrites) os << f << '=' << v->key() << ';';
-    os << ")@" << a.port->key();
-  }
-  os << "] S[";
-  for (const auto& [var, v] : e.state_action) {
-    os << var << '=' << v->key() << ';';
-  }
-  os << ']';
-  return os.str();
-}
-
-ModelDiff diff_models(const Model& before, const Model& after) {
-  std::set<std::string> sb;
-  std::set<std::string> sa;
-  for (const auto& e : before.entries) sb.insert(entry_signature(e));
-  for (const auto& e : after.entries) sa.insert(entry_signature(e));
-
-  ModelDiff d;
-  for (const auto& s : sa) {
-    if (sb.count(s)) {
-      ++d.unchanged;
-    } else {
-      d.added.push_back(s);
-    }
-  }
-  for (const auto& s : sb) {
-    if (!sa.count(s)) d.removed.push_back(s);
-  }
-  return d;
-}
-
-std::string ModelDiff::summary() const {
-  std::ostringstream os;
-  os << added.size() << " added, " << removed.size() << " removed, "
-     << unchanged << " unchanged";
   return os.str();
 }
 

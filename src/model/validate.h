@@ -1,7 +1,7 @@
-// Model consistency validation and model diffing — the operations a
-// vendor workflow needs once models are artifacts that get shipped,
-// hand-tuned, and revised across NF versions (§1: vendors run NFactor
-// and hand operators "only the resultant models").
+// Model consistency validation — the check a vendor workflow needs once
+// models are artifacts that get shipped, hand-tuned, and revised across
+// NF versions (§1: vendors run NFactor and hand operators "only the
+// resultant models"). Comparing two model versions is src/diff/'s job.
 //
 // validate(): solver-backed checks that
 //   - every entry's own match conjunction is satisfiable (an unsat entry
@@ -10,10 +10,6 @@
 //     (overlapping entries make the model order-dependent; SE-derived
 //     entries are disjoint by construction, so any overlap indicates a
 //     hand edit or a truncated path).
-//
-// diff(): structural comparison of two models by canonical entry
-// signature — which forwarding behaviours were added / removed between
-// two versions of an NF.
 #pragma once
 
 #include <string>
@@ -46,18 +42,5 @@ struct ValidationReport {
 /// Solver-backed consistency check. Truncated entries are exempt from
 /// the disjointness requirement (their conditions are prefixes).
 ValidationReport validate(const Model& m);
-
-/// Canonical signature of an entry: sorted condition keys + action keys.
-std::string entry_signature(const ModelEntry& e);
-
-struct ModelDiff {
-  std::vector<std::string> added;    // signatures only in `after`
-  std::vector<std::string> removed;  // signatures only in `before`
-  std::size_t unchanged = 0;
-  bool identical() const { return added.empty() && removed.empty(); }
-  std::string summary() const;
-};
-
-ModelDiff diff_models(const Model& before, const Model& after);
 
 }  // namespace nfactor::model

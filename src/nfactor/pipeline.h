@@ -29,7 +29,7 @@ namespace nfactor::pipeline {
 struct PipelineOptions {
   bool normalize_structure = true;  // apply §3.2 transforms first
   /// Opt-in IR simplification between lowering and slicing (disabled by
-  /// default so library behavior is unchanged; nfactor_cli turns it on
+  /// default so library behavior is unchanged; nf-synth turns it on
   /// with fold_config and offers --no-simplify).
   lint::SimplifyOptions simplify;
   symex::ExecOptions se_slice;      // symbolic execution on the slice

@@ -92,17 +92,10 @@ struct SymExpr {
   mutable std::atomic<const std::string*> key_{nullptr};
 };
 
-/// Structural equality. With the interner on (the default) interned
-/// structurally-equal nodes are pointer-identical, so this is a pointer
-/// compare; the fingerprint-gated key comparison only runs when
-/// interning is disabled (NFACTOR_SYMEX_INTERN=0) — a fingerprint
-/// mismatch answers "not equal" in O(1), and a fingerprint match is
-/// confirmed against the canonical key, never trusted alone.
-inline bool struct_eq(const SymExpr* a, const SymExpr* b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr || a->fp != b->fp) return false;
-  return a->key() == b->key();
-}
+/// Structural equality. Every node is interned (symex/intern.h), so
+/// structurally equal nodes are pointer-identical and this is a pointer
+/// compare.
+inline bool struct_eq(const SymExpr* a, const SymExpr* b) { return a == b; }
 inline bool struct_eq(const SymRef& a, const SymRef& b) {
   return struct_eq(a.get(), b.get());
 }

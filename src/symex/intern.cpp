@@ -1,7 +1,6 @@
 #include "symex/intern.h"
 
 #include <array>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -147,22 +146,9 @@ Interner& interner() {
 
 }  // namespace
 
-bool intern_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("NFACTOR_SYMEX_INTERN");
-    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
-}
-
 SymRef intern_node(SymExpr&& n) {
   n.fp = fingerprint_of(n);
   auto& in = interner();
-  if (!intern_enabled()) {
-    in.nodes.fetch_add(1, std::memory_order_relaxed);
-    in.bytes.fetch_add(approx_bytes(n), std::memory_order_relaxed);
-    return std::make_shared<const SymExpr>(std::move(n));
-  }
   Shard& shard = in.shards[n.fp % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto& bucket = shard.table[n.fp];
@@ -213,11 +199,6 @@ InternStats intern_stats() {
 std::string intern_summary() {
   const InternStats s = intern_stats();
   std::ostringstream os;
-  if (!intern_enabled()) {
-    os << "interner disabled (NFACTOR_SYMEX_INTERN=0): " << s.nodes
-       << " nodes allocated, ~" << s.bytes / 1024 << " KiB";
-    return os.str();
-  }
   const std::uint64_t calls = s.nodes + s.hits;
   os << "interner: " << s.nodes << " unique nodes, " << s.hits << " hits";
   if (calls > 0) {

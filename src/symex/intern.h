@@ -17,12 +17,6 @@
 // The table holds weak references: nodes die with their last SymRef, and
 // dead entries are pruned opportunistically, so the interner never pins
 // memory beyond the live expression graph.
-//
-// Measurement toggle: setting NFACTOR_SYMEX_INTERN=0 in the environment
-// (read once at process start) bypasses the table — builders allocate
-// fresh nodes and struct_eq falls back to fingerprint + canonical-key
-// comparison. Semantics are identical either way; the toggle exists so
-// EXPERIMENTS.md can measure what hash-consing buys.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +34,6 @@ struct InternStats {
   std::size_t live = 0;     ///< nodes currently alive in the table
   std::size_t buckets = 0;  ///< occupied fingerprint buckets
 };
-
-/// False iff NFACTOR_SYMEX_INTERN=0 was set when the process started.
-bool intern_enabled();
 
 /// Snapshot of the interner counters. `live`/`buckets` sweep the table
 /// under the shard locks — cold-path only (--stats, tests).

@@ -172,10 +172,30 @@ std::int64_t parse_int_value(const std::string& text, int line) {
   }
 }
 
+/// Config symbols the model's entries read, in matches or actions.
+std::set<std::string> config_reads(const model::Model& m) {
+  std::map<std::string, symex::VarClass> vars;
+  for (const auto& e : m.entries) {
+    for (const auto* conds : {&e.config_match, &e.flow_match, &e.state_match}) {
+      for (const auto& c : *conds) symex::collect_vars(c, vars);
+    }
+    for (const auto& a : e.flow_action) {
+      symex::collect_vars(a.port, vars);
+      for (const auto& [field, expr] : a.rewrites) symex::collect_vars(expr, vars);
+    }
+    for (const auto& [var, expr] : e.state_action) symex::collect_vars(expr, vars);
+  }
+  std::set<std::string> out;
+  for (const auto& [name, cls] : vars) {
+    if (cls == symex::VarClass::kCfg) out.insert(name);
+  }
+  return out;
+}
+
 }  // namespace
 
-Topology parse_topology(const std::string& text,
-                        const ModelResolver& resolve) {
+Topology parse_topology(const std::string& text, const ModelResolver& resolve,
+                        const ModelResolver& resolve_pinned) {
   Topology topo;
   std::istringstream is(text);
   std::string line;
@@ -200,9 +220,19 @@ Topology parse_topology(const std::string& text,
         n.cfg[toks[i].substr(0, eq)] =
             parse_int_value(toks[i].substr(eq + 1), lineno);
       }
-      const NodeModels m = resolve(n.nf);
+      const bool pinned = !n.cfg.empty() && resolve_pinned;
+      const NodeModels m = (pinned ? resolve_pinned : resolve)(n.nf);
       if (m.model == nullptr || m.module == nullptr) {
         parse_fail(lineno, "unknown NF '" + n.nf + "'");
+      }
+      if (!n.cfg.empty()) {
+        const std::set<std::string> reads = config_reads(*m.model);
+        for (const auto& [name, value] : n.cfg) {
+          if (reads.count(name) == 0) {
+            parse_fail(lineno, "pin '" + name + "': the model of '" + n.nf +
+                                   "' reads no config named '" + name + "'");
+          }
+        }
       }
       n.model = m.model;
       n.module = m.module;
@@ -362,7 +392,7 @@ struct Instance {
   const TopoNode* node = nullptr;
   std::vector<InstEntry> entries;       // forwarding entries only
   std::vector<int> known_ports;         // sorted exact out-ports at this node
-  bool has_wildcard_out = false;        // a wildcard edge leaves this node
+  bool has_wildcard_out = false;        // a wildcard edge or egress point
 };
 
 Instance prepare_instance(const Topology& topo, const TopoNode& n) {
@@ -405,7 +435,12 @@ Instance prepare_instance(const Topology& topo, const TopoNode& n) {
     }
   }
   for (const auto& p : topo.egress) {
-    if (p.node == n.id && p.port >= 0) ports.insert(p.port);
+    if (p.node != n.id) continue;
+    if (p.port >= 0) {
+      ports.insert(p.port);
+    } else {
+      inst.has_wildcard_out = true;
+    }
   }
   inst.known_ports.assign(ports.begin(), ports.end());
   return inst;
@@ -485,7 +520,8 @@ class QueryEngine {
           continue;
         }
         // Symbolic egress port: branch per known port of this node, and
-        // (if a wildcard link exists) a residual "some other port" branch.
+        // (if a wildcard link or egress point exists) a residual "some
+        // other port" branch.
         for (const int p : inst.known_ports) {
           std::vector<SymRef> with_port = entry_constraints;
           with_port.push_back(
@@ -539,17 +575,17 @@ class QueryEngine {
              const std::vector<SymRef>& constraints,
              const std::map<std::string, SymRef>& sent, Expansion& out) const {
     const std::string& id = hop.node;
-    if (hop.out_port >= 0) {
-      if (const TopoPoint* ep = topo_.egress_at(id, hop.out_port)) {
-        if (ep->name != q_.to) return;  // exits the network elsewhere
-        TopoPath path;
-        path.hops = fr.hops;
-        path.hops.push_back(hop);
-        path.constraints = constraints;
-        path.egress_fields = sent;
-        out.delivered.push_back(std::move(path));
-        return;
-      }
+    // A symbolic port (-1) that avoided every known port exits at a
+    // wildcard egress point if the node has one.
+    if (const TopoPoint* ep = topo_.egress_at(id, hop.out_port)) {
+      if (ep->name != q_.to) return;  // exits the network elsewhere
+      TopoPath path;
+      path.hops = fr.hops;
+      path.hops.push_back(hop);
+      path.constraints = constraints;
+      path.egress_fields = sent;
+      out.delivered.push_back(std::move(path));
+      return;
     }
     const TopoEdge* edge = hop.out_port >= 0
                                ? topo_.edge_from(id, hop.out_port)

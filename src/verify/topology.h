@@ -9,9 +9,12 @@
 // witness packet replayed hop-by-hop through the model interpreter, the
 // wire codec and the compiled dataplane (verify/witness.h).
 //
+// A service chain is the path-shaped special case: hop i's emissions
+// (any port) feed hop i+1's port 0.
+//
 // Instances never alias state: every state/config symbol of instance
-// `id` is renamed to "<id>$<symbol>" (symex::prefix_symbols), the same
-// discipline verify/hsa.cpp applies per chain hop. Paths are *simple*
+// `id` is renamed to "<id>$<symbol>" (symex::prefix_symbols), so two
+// instances of one NF keep disjoint state. Paths are *simple*
 // (no instance revisited) — a second visit would see the instance's
 // fresh initial state again, which is unsound for a single packet — and
 // bounded by QueryOptions.max_hops.
@@ -48,7 +51,9 @@ struct TopoNode {
   const ir::Module* module = nullptr;
   /// Deployment pins: config scalar -> concrete value, overriding the
   /// module initializer. Applied symbolically during traversal and to
-  /// the concrete stores during witness replay.
+  /// the concrete stores during witness replay. A pin only acts on a
+  /// model whose config stayed symbolic (synthesized without config
+  /// folding).
   std::map<std::string, std::int64_t> cfg;
 };
 
@@ -105,9 +110,13 @@ using ModelResolver = std::function<NodeModels(const std::string& nf)>;
 ///   edge <a>:<port|*> -> <b>:<port>
 ///   ingress <name> -> <node>:<port|*>
 ///   egress <name> <- <node>:<port|*>
-/// '#' starts a comment. Throws std::runtime_error with a line-numbered
-/// message on malformed input or an NF the resolver cannot supply.
-Topology parse_topology(const std::string& text, const ModelResolver& resolve);
+/// '#' starts a comment. Nodes with `cfg` pins take their model from
+/// `resolve_pinned` when given (a resolver that keeps config symbolic),
+/// the others from `resolve`. Throws std::runtime_error with a
+/// line-numbered message on malformed input, an NF the resolver cannot
+/// supply, or a pin on a config name the node's model does not read.
+Topology parse_topology(const std::string& text, const ModelResolver& resolve,
+                        const ModelResolver& resolve_pinned = nullptr);
 
 // ---- Queries --------------------------------------------------------------
 

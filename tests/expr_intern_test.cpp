@@ -24,7 +24,6 @@ namespace {
 using lang::BinOp;
 
 TEST(Intern, StructurallyEqualBuildsSharePointer) {
-  if (!intern_enabled()) GTEST_SKIP() << "NFACTOR_SYMEX_INTERN=0";
   const SymRef a =
       make_bin(BinOp::kEq, make_var("pkt.dport", VarClass::kPkt), make_int(80));
   const SymRef b =
@@ -56,11 +55,9 @@ TEST(Intern, BuilderStatsCountHitsAndNodes) {
   const InternStats after = intern_stats();
   EXPECT_GT(after.nodes, before.nodes);
   EXPECT_GT(after.bytes, before.bytes);
-  if (intern_enabled()) {
-    EXPECT_GT(after.hits, before.hits);  // `again` hit `fresh`'s node
-    EXPECT_GE(after.live, 1u);
-    EXPECT_GE(after.buckets, 1u);
-  }
+  EXPECT_GT(after.hits, before.hits);  // `again` hit `fresh`'s node
+  EXPECT_GE(after.live, 1u);
+  EXPECT_GE(after.buckets, 1u);
   EXPECT_FALSE(intern_summary().empty());
 }
 
@@ -101,12 +98,12 @@ TEST(Intern, StructEqAgreesWithKeyEqualityOnRandomizedDag) {
     const SymRef e = random_expr(rng, 4);
     ++built;
 
-    // Equal keys <=> struct_eq <=> (interned) pointer identity.
+    // Equal keys <=> struct_eq <=> pointer identity.
     const auto [it, first_sight] = by_key.emplace(e->key(), e);
     if (!first_sight) {
       EXPECT_TRUE(struct_eq(e, it->second)) << e->key();
       EXPECT_EQ(e->fp, it->second->fp) << e->key();
-      if (intern_enabled()) EXPECT_EQ(e.get(), it->second.get()) << e->key();
+      EXPECT_EQ(e.get(), it->second.get()) << e->key();
     } else {
       // fingerprint != => key !=, contrapositive bookkeeping: a
       // fingerprint maps to exactly one key.
@@ -131,8 +128,8 @@ TEST(Intern, StructEqAgreesWithKeyEqualityOnRandomizedDag) {
 }
 
 TEST(Intern, ConcurrentBuildersAgreeOnCanonicalNodes) {
-  // 4 threads build the identical expression sequence; with interning on
-  // they must end up with pointer-identical results. Run under TSan this
+  // 4 threads build the identical expression sequence; they must end up
+  // with pointer-identical results. Run under TSan this
   // is the data-race check for the sharded intern table and the lazy
   // key() publication (threads race to render the same keys).
   constexpr int kThreads = 4;
@@ -159,9 +156,7 @@ TEST(Intern, ConcurrentBuildersAgreeOnCanonicalNodes) {
       const auto& b = built[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
       EXPECT_TRUE(struct_eq(a, b)) << "thread " << t << " expr " << i;
       EXPECT_EQ(a->key(), b->key());
-      if (intern_enabled()) {
-        ASSERT_EQ(a.get(), b.get()) << "thread " << t << " expr " << i;
-      }
+      ASSERT_EQ(a.get(), b.get()) << "thread " << t << " expr " << i;
     }
   }
 }

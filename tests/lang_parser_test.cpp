@@ -160,6 +160,47 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse("def f() { {1: 2} }"), ParseError);  // non-empty map lit
 }
 
+/// `n` copies of `unit` joined together, for deep-expression inputs.
+std::string repeat(const std::string& unit, int n) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+void expect_depth_error(const std::string& src) {
+  try {
+    parse(src);
+    FAIL() << "expected DepthError";
+  } catch (const DepthError& e) {
+    EXPECT_EQ(e.diag().code, "NF105");
+    EXPECT_NE(std::string(e.what()).find("NF105"), std::string::npos);
+  }
+}
+
+TEST(Parser, DeepExpressionsAreRejected) {
+  // A flat 50,000-term sum: parsed in a loop, but the tree is a
+  // left-leaning spine 50,000 levels deep.
+  expect_depth_error("var T = 1" + repeat(" + 1", 50000) + ";");
+  // 20,000 nested parentheses and 50,000 chained prefix operators
+  // recurse in the parser itself.
+  expect_depth_error("var T = " + repeat("(", 20000) + "1" +
+                     repeat(")", 20000) + ";");
+  expect_depth_error("var T = " + repeat("!", 50000) + "true;");
+  expect_depth_error("def f() { x = f" + repeat("(f", 300) + repeat(")", 300) +
+                     "; }");
+}
+
+TEST(Parser, ExpressionsAtTheDepthLimitParse) {
+  // 255 additions make a tree 256 levels deep: the limit itself.
+  EXPECT_NO_THROW(parse("var T = 1" + repeat(" + 1", 255) + ";"));
+  EXPECT_THROW(parse("var T = 1" + repeat(" + 1", 256) + ";"), DepthError);
+  EXPECT_NO_THROW(parse("var T = " + repeat("-", 200) + "1;"));
+  // Deep statement nesting is not expression depth.
+  EXPECT_NO_THROW(parse("def f() { " + repeat("if (true) { ", 2000) +
+                        repeat("} ", 2000) + "}"));
+}
+
 TEST(Parser, CloneIsDeep) {
   Program p = parse("var g = 1;\ndef f(x) { if (x) { g = 2; } return g; }\n");
   Program q = p.clone();

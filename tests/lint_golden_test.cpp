@@ -32,7 +32,7 @@ std::string read_file(const std::string& path, bool* ok = nullptr) {
   return ss.str();
 }
 
-/// Exactly what `nfactor_cli --lint` prints: the rendered diagnostics
+/// Exactly what `nf-synth --lint` prints: the rendered diagnostics
 /// followed by the one-line severity summary.
 std::string lint_report(const std::string& source, const std::string& unit) {
   lang::DiagnosticSink sink;

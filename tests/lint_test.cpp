@@ -286,6 +286,16 @@ TEST(LintFrontendTest, ParseErrorBecomesNF102) {
   EXPECT_TRUE(has_code(sink, "NF102")) << sink.render_text();
 }
 
+TEST(LintFrontendTest, DeepExpressionBecomesNF105) {
+  DiagnosticSink sink;
+  std::string sum = "1";
+  for (int i = 0; i < 5000; ++i) sum += " + 1";
+  const bool ok = lint::lint_source(nf_body("x = " + sum + ";"), "<test>", sink);
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(has_code(sink, "NF105")) << sink.render_text();
+  EXPECT_FALSE(has_code(sink, "NF102")) << sink.render_text();
+}
+
 TEST(LintFrontendTest, SemaErrorBecomesNF103) {
   DiagnosticSink sink;
   // Two mains: structurally valid syntax, rejected by sema.

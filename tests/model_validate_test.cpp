@@ -1,7 +1,12 @@
-// Model validation (solver-backed consistency) and model diffing.
+// Model validation (solver-backed consistency) and model diffing through
+// the semantic differ (src/diff/).
 #include "model/validate.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+
+#include "diff/diff.h"
 
 #include "nfactor/pipeline.h"
 #include "nfs/corpus.h"
@@ -69,9 +74,17 @@ TEST(Validate, SummaryIsReadable) {
 TEST(Diff, IdenticalModelsAreIdentical) {
   const auto a = run_nf("lb");
   const auto b = run_nf("lb");
-  const auto d = diff_models(a.model, b.model);
-  EXPECT_TRUE(d.identical()) << d.summary();
-  EXPECT_EQ(d.unchanged, a.model.entries.size());
+  const auto d = diff::diff_models(a.model, b.model);
+  EXPECT_TRUE(d.equivalent()) << d.delta_count() << " delta(s)";
+  EXPECT_EQ(d.equivalent_pairs, a.model.entries.size());
+}
+
+std::size_t count_kind(const diff::ModelDiff& d, diff::DeltaKind kind) {
+  std::size_t n = 0;
+  for (const auto& t : d.tables) {
+    for (const auto& delta : t.deltas) n += delta.kind == kind;
+  }
+  return n;
 }
 
 TEST(Diff, ConfigChangeShowsUp) {
@@ -83,27 +96,36 @@ TEST(Diff, ConfigChangeShowsUp) {
   src.replace(pos, 11, "nb >= THRESH");
   const auto after = pipeline::run_source(src, "heavy_hitter_v2");
 
-  const auto d = diff_models(before.model, after.model);
-  EXPECT_FALSE(d.identical());
-  EXPECT_FALSE(d.added.empty());
-  EXPECT_FALSE(d.removed.empty());
-  EXPECT_NE(d.summary().find("added"), std::string::npos);
+  const auto d = diff::diff_models(before.model, after.model);
+  EXPECT_FALSE(d.equivalent());
+  // The edited comparison moves a guard; the pairing phase reports it as
+  // a changed rule rather than an unrelated add + remove.
+  EXPECT_GT(count_kind(d, diff::DeltaKind::kGuardChanged), 0u);
 }
 
 TEST(Diff, UnrelatedNfsShareNothing) {
   const auto a = run_nf("nat");
   const auto b = run_nf("firewall");
-  const auto d = diff_models(a.model, b.model);
-  EXPECT_EQ(d.unchanged, 0u);
-  EXPECT_EQ(d.added.size(), b.model.entries.size());
-  EXPECT_EQ(d.removed.size(), a.model.entries.size());
+  const auto d = diff::diff_models(a.model, b.model);
+  EXPECT_EQ(d.equivalent_pairs, 0u);
+  // Every entry of both models is reported in some delta (added,
+  // removed, or one side of a changed pair).
+  std::set<int> old_seen, new_seen;
+  for (const auto& t : d.tables) {
+    for (const auto& delta : t.deltas) {
+      if (delta.old_entry >= 0) old_seen.insert(delta.old_entry);
+      if (delta.new_entry >= 0) new_seen.insert(delta.new_entry);
+    }
+  }
+  EXPECT_EQ(old_seen.size(), a.model.entries.size());
+  EXPECT_EQ(new_seen.size(), b.model.entries.size());
 }
 
 TEST(Diff, SignatureIgnoresEntryOrder) {
   auto a = run_nf("nat");
   auto b = run_nf("nat");
   std::reverse(b.model.entries.begin(), b.model.entries.end());
-  EXPECT_TRUE(diff_models(a.model, b.model).identical());
+  EXPECT_TRUE(diff::diff_models(a.model, b.model).equivalent());
 }
 
 }  // namespace

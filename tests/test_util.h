@@ -1,12 +1,23 @@
 // Shared helpers for the NFactor test suite.
 #pragma once
 
+#include <ostream>
 #include <string>
 
 #include "ir/lower.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
 #include "netsim/packet.h"
+#include "nfs/corpus.h"
+
+namespace nfactor::nfs {
+
+/// gtest prints a corpus-parameterized test's parameter by its NF name
+/// (the default is a byte dump of the entry, pointers included, which
+/// changes run to run).
+inline void PrintTo(const CorpusEntry& e, std::ostream* os) { *os << e.name; }
+
+}  // namespace nfactor::nfs
 
 namespace nfactor::testutil {
 

@@ -27,6 +27,7 @@ namespace nfactor::verify {
 namespace {
 
 using testutil::corpus_models;
+using testutil::pinnable_models;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -68,16 +69,23 @@ TEST(TopologyParse, RoundTripsTheFormat) {
 
 TEST(TopologyParse, AcceptsConfigPinsAndDottedQuads) {
   const std::string text =
-      "node fw firewall cfg trusted_if=0 cfg gateway=10.0.0.1\n"
-      "ingress in -> fw:0\n"
+      "node nat nat cfg INT_PORT=0 cfg EXT_IP=10.0.0.1\n"
+      "node fw firewall\n"
+      "ingress in -> nat:0\n"
+      "edge nat:* -> fw:0\n"
       "egress out <- fw:*\n";
-  const Topology topo = parse_topology(text, corpus_models().resolver());
-  const TopoNode* fw = topo.node("fw");
-  ASSERT_NE(fw, nullptr);
-  ASSERT_EQ(fw->cfg.size(), 2u);
-  EXPECT_EQ(fw->cfg.at("trusted_if"), 0);
-  EXPECT_EQ(fw->cfg.at("gateway"),
+  const Topology topo = parse_topology(text, corpus_models().resolver(),
+                                       pinnable_models().resolver());
+  const TopoNode* nat = topo.node("nat");
+  ASSERT_NE(nat, nullptr);
+  ASSERT_EQ(nat->cfg.size(), 2u);
+  EXPECT_EQ(nat->cfg.at("INT_PORT"), 0);
+  EXPECT_EQ(nat->cfg.at("EXT_IP"),
             static_cast<std::int64_t>(netsim::ipv4("10.0.0.1")));
+  // The pinned instance gets the model with symbolic config; the
+  // unpinned one keeps the folded production model.
+  EXPECT_EQ(nat->model, pinnable_models().resolve("nat").model);
+  EXPECT_EQ(topo.node("fw")->model, corpus_models().resolve("firewall").model);
 }
 
 TEST(TopologyParse, RejectsMalformedInputWithLineNumbers) {
@@ -97,11 +105,15 @@ TEST(TopologyParse, RejectsMalformedInputWithLineNumbers) {
       {"node fw firewall\n\nedge fw:1 fw:0\n", "line 3"},
       {"node fw no_such_nf\n", "line 1"},
       {"node fw firewall cfg bogus\n", "line 1"},
+      // A pin must name a config the model reads: firewall has no
+      // INLINE_DROP.
+      {"node fw firewall\n\nnode fw2 firewall cfg INLINE_DROP=1\n",
+       "line 3"},
   };
   for (const auto& [text, needle] : cases) {
     SCOPED_TRACE(text);
     try {
-      parse_topology(text, resolver);
+      parse_topology(text, resolver, pinnable_models().resolver());
       FAIL() << "expected parse failure";
     } catch (const std::runtime_error& ex) {
       EXPECT_NE(std::string(ex.what()).find(needle), std::string::npos)

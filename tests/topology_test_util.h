@@ -16,15 +16,18 @@ namespace nfactor::testutil {
 
 /// Synthesizes each corpus NF at most once per process, with the
 /// production pipeline settings nf-synth and nf-verify use (simplify +
-/// config folding), and hands out stable model/module pointers.
+/// config folding, or without folding for models whose config `cfg`
+/// pins select), and hands out stable model/module pointers.
 class CorpusModels {
  public:
+  explicit CorpusModels(bool fold_config = true) : fold_config_(fold_config) {}
+
   verify::NodeModels resolve(const std::string& nf) {
     auto it = cache_.find(nf);
     if (it == cache_.end()) {
       pipeline::PipelineOptions opts;
       opts.simplify.enabled = true;
-      opts.simplify.fold_config = true;
+      opts.simplify.fold_config = fold_config_;
       auto r = pipeline::run_source(nfs::find(nf).source, nf, opts);
       it = cache_.emplace(nf, std::move(r)).first;
     }
@@ -36,12 +39,19 @@ class CorpusModels {
   }
 
  private:
+  bool fold_config_;
   std::map<std::string, pipeline::PipelineResult> cache_;
 };
 
 /// Process-wide cache so each test binary synthesizes the corpus once.
 inline CorpusModels& corpus_models() {
   static CorpusModels models;
+  return models;
+}
+
+/// The same without config folding: the models `cfg` pins act on.
+inline CorpusModels& pinnable_models() {
+  static CorpusModels models(/*fold_config=*/false);
   return models;
 }
 

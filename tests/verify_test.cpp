@@ -1,5 +1,6 @@
 // Verification applications: equivalence checking, stateful header-space
-// reachability, PGA-style composition, BUZZ-style compliance testing.
+// reachability over service chains, PGA-style composition, BUZZ-style
+// compliance testing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +10,11 @@
 #include "nfactor/pipeline.h"
 #include "nfs/corpus.h"
 #include "tests/test_util.h"
+#include "tests/topology_test_util.h"
 #include "verify/chain.h"
 #include "verify/compliance.h"
 #include "verify/equivalence.h"
-#include "verify/hsa.h"
+#include "verify/topology.h"
 
 namespace nfactor::verify {
 namespace {
@@ -140,58 +142,62 @@ TEST(Equivalence, UnderConfigDetectsConfigOnlyDivergence) {
 }
 
 // ---------------------------------------------------------------------------
-// Stateful header-space reachability
+// Stateful header-space reachability over a service chain: a chain is a
+// path Topology, written as .topo text and answered by run_query.
 // ---------------------------------------------------------------------------
 
-symex::SymRef pkt_eq(const char* field, symex::Int v) {
-  return symex::make_bin(
-      lang::BinOp::kEq,
-      symex::make_var(std::string("pkt.") + field, symex::VarClass::kPkt),
-      symex::make_int(v));
+/// Answer `query` over `topo`, with corpus models synthesized without
+/// config folding so a `cfg` pin selects the table the deployment runs.
+QueryResult chain_query(const std::string& topo, const std::string& query,
+                        std::size_t max_paths = 64) {
+  QueryOptions opts;
+  opts.max_paths = max_paths;
+  const auto models = testutil::pinnable_models().resolver();
+  return run_query(parse_topology(topo, models), parse_query(query), opts);
 }
 
 TEST(Hsa, SingleHopFirewallForwardsLanTraffic) {
-  const auto fw = run_nf("firewall");
-  const std::vector<ChainHop> chain = {{"fw", &fw.model, {}}};
-  EXPECT_TRUE(can_reach_egress(chain, {pkt_eq("in_port", 0)}));
+  const auto res = chain_query(
+      "node fw firewall\ningress in -> fw:0\negress out <- fw:*\n",
+      "reach in out");
+  EXPECT_TRUE(res.holds);
 }
 
+constexpr const char* kInlineIds =
+    "node ids snort_lite cfg INLINE_DROP=1\n"
+    "ingress in -> ids:*\negress out <- ids:*\n";
+
 TEST(Hsa, IngressConstraintCanBlockEverything) {
-  const auto ids = run_nf("snort_lite");
-  const auto pin = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("INLINE_DROP", symex::VarClass::kCfg),
-      symex::make_int(1));
-  const std::vector<ChainHop> chain = {{"ids", &ids.model, {pin}}};
   // TCP telnet is rule-dropped.
-  EXPECT_FALSE(can_reach_egress(
-      chain, {pkt_eq("ip_proto", 6), pkt_eq("dport", 23)}));
+  EXPECT_FALSE(chain_query(kInlineIds,
+                           "reach in out where pkt.ip_proto == 6 && "
+                           "pkt.dport == 23")
+                   .sat);
   // TCP 443 passes.
-  EXPECT_TRUE(can_reach_egress(
-      chain, {pkt_eq("ip_proto", 6), pkt_eq("dport", 443),
-              pkt_eq("eth_type", 0x0800)}));
+  EXPECT_TRUE(chain_query(kInlineIds,
+                          "reach in out where pkt.ip_proto == 6 && "
+                          "pkt.dport == 443 && pkt.eth_type == 0x0800")
+                  .sat);
 }
 
 TEST(Hsa, ConfigPinSelectsTable) {
-  const auto ids = run_nf("snort_lite");
-  const auto alert_only = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("INLINE_DROP", symex::VarClass::kCfg),
-      symex::make_int(0));
-  const std::vector<ChainHop> chain = {{"ids", &ids.model, {alert_only}}};
   // In alert-only mode even telnet passes through.
-  EXPECT_TRUE(can_reach_egress(
-      chain, {pkt_eq("ip_proto", 6), pkt_eq("dport", 23),
-              pkt_eq("eth_type", 0x0800)}));
+  EXPECT_TRUE(chain_query("node ids snort_lite cfg INLINE_DROP=0\n"
+                          "ingress in -> ids:*\negress out <- ids:*\n",
+                          "reach in out where pkt.ip_proto == 6 && "
+                          "pkt.dport == 23 && pkt.eth_type == 0x0800")
+                  .sat);
 }
 
 TEST(Hsa, RewritesPropagateToNextHop) {
   // NAT rewrites ip_src to EXT_IP=5.5.5.5; a downstream firewall-style
   // model matching the original source address must become unreachable.
-  const auto nat = run_nf("nat");
-  const std::vector<ChainHop> chain = {{"nat", &nat.model, {}}};
-  const auto res = reachable(chain, {pkt_eq("in_port", 0)}, 8);
-  ASSERT_TRUE(res.any());
+  const auto res = chain_query(
+      "node nat nat\ningress in -> nat:0\negress out <- nat:*\n",
+      "reach in out", 8);
+  ASSERT_TRUE(res.sat);
   bool rewrote = false;
-  for (const auto& p : res.delivered) {
+  for (const auto& p : res.paths) {
     const auto it = p.egress_fields.find("pkt.ip_src");
     ASSERT_NE(it, p.egress_fields.end());
     // The egress source address is the NAT's (prefixed) EXT_IP config
@@ -204,28 +210,33 @@ TEST(Hsa, RewritesPropagateToNextHop) {
 }
 
 TEST(Hsa, TwoInstancesOfSameNfKeepDisjointState) {
-  const auto fw = run_nf("firewall");
-  const std::vector<ChainHop> chain = {{"fw_a", &fw.model, {}},
-                                       {"fw_b", &fw.model, {}}};
-  const auto res = reachable(chain, {pkt_eq("in_port", 0)}, 16);
-  ASSERT_TRUE(res.any());
-  // State symbols must carry distinct prefixes.
-  for (const auto& p : res.delivered) {
+  const auto res = chain_query(
+      "node fw_a firewall\nnode fw_b firewall\n"
+      "ingress in -> fw_a:0\nedge fw_a:* -> fw_b:0\negress out <- fw_b:*\n",
+      "reach in out", 16);
+  ASSERT_TRUE(res.sat);
+  // State symbols carry each instance's own prefix, never both.
+  for (const auto& p : res.paths) {
+    bool a = false, b = false;
     for (const auto& c : p.constraints) {
       const std::string s = c->key();
-      EXPECT_EQ(s.find("fw_a$0$fw_b"), std::string::npos);
+      a |= s.find("fw_a$") != std::string::npos;
+      b |= s.find("fw_b$") != std::string::npos;
+      EXPECT_EQ(s.find("fw_a$fw_b"), std::string::npos) << s;
+      EXPECT_EQ(s.find("fw_b$fw_a"), std::string::npos) << s;
     }
+    EXPECT_TRUE(a && b);
   }
 }
 
 TEST(Hsa, HopIngressPortPinning) {
-  const auto fw = run_nf("firewall");
   // Pin the hop's ingress to the LAN port: the LAN->WAN entry matches
   // with the in_port test fully resolved (no in_port symbol survives).
-  std::vector<ChainHop> lan = {{"fw", &fw.model, {}, /*in_port=*/0}};
-  const auto res = reachable(lan, {}, 8);
-  ASSERT_TRUE(res.any());
-  for (const auto& p : res.delivered) {
+  const auto lan = chain_query(
+      "node fw firewall\ningress in -> fw:0\negress out <- fw:*\n",
+      "reach in out", 8);
+  ASSERT_TRUE(lan.sat);
+  for (const auto& p : lan.paths) {
     for (const auto& c : p.constraints) {
       EXPECT_EQ(c->key().find("pkt.in_port"), std::string::npos)
           << symex::to_string(*c);
@@ -235,11 +246,11 @@ TEST(Hsa, HopIngressPortPinning) {
   // Pinned to a non-LAN port (with the LAN_PORT config also pinned so
   // the deployment is fixed), only the established-connection entry can
   // deliver — every surviving path must constrain the connection table.
-  const auto lan_is_0 = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("LAN_PORT", symex::VarClass::kCfg),
-      symex::make_int(0));
-  std::vector<ChainHop> wan = {{"fw", &fw.model, {lan_is_0}, /*in_port=*/7}};
-  for (const auto& p : reachable(wan, {}, 8).delivered) {
+  const auto wan = chain_query(
+      "node fw firewall cfg LAN_PORT=0\n"
+      "ingress in -> fw:7\negress out <- fw:*\n",
+      "reach in out", 8);
+  for (const auto& p : wan.paths) {
     bool mentions_conns = false;
     for (const auto& c : p.constraints) {
       if (c->key().find("conns") != std::string::npos) mentions_conns = true;
@@ -249,17 +260,13 @@ TEST(Hsa, HopIngressPortPinning) {
 }
 
 TEST(Hsa, InfeasibleCountsReported) {
-  const auto ids = run_nf("snort_lite");
-  const auto pin = symex::make_bin(
-      lang::BinOp::kEq, symex::make_var("INLINE_DROP", symex::VarClass::kCfg),
-      symex::make_int(1));
-  const std::vector<ChainHop> chain = {{"ids", &ids.model, {pin}}};
   // A rule-dropped flow: every forwarding entry is infeasible under the
   // inline-drop configuration.
-  const auto res =
-      reachable(chain, {pkt_eq("ip_proto", 6), pkt_eq("dport", 23)}, 8);
-  EXPECT_FALSE(res.any());
-  EXPECT_GT(res.infeasible, 0u);
+  const auto res = chain_query(
+      kInlineIds, "reach in out where pkt.ip_proto == 6 && pkt.dport == 23",
+      8);
+  EXPECT_FALSE(res.sat);
+  EXPECT_GT(res.stats.infeasible, 0u);
 }
 
 // ---------------------------------------------------------------------------
