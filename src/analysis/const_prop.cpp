@@ -1,9 +1,12 @@
 #include "analysis/const_prop.h"
 
+#include <algorithm>
 #include <deque>
+#include <set>
 #include <utility>
 
 #include "lang/builtins.h"
+#include "obs/obs.h"
 
 namespace nfactor::analysis {
 
@@ -68,43 +71,6 @@ ConstVal eval_binary(BinOp op, const ConstVal& l, const ConstVal& r) {
   bool ok = false;
   const std::int64_t v = fold_bin_int(op, l.i, r.i, &ok);
   return ok ? ConstVal::of_int(v) : ConstVal::bottom();
-}
-
-/// Set every tracked field location of `var` to Bottom (whole-variable
-/// strong def: old field facts die; packet targets get the full field
-/// vocabulary so later reads see Bottom, not Top).
-void smash_fields(ConstEnv& env, const std::string& var, bool full_vocab) {
-  const std::string prefix = var + ".";
-  for (auto it = env.lower_bound(prefix); it != env.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    it->second = ConstVal::bottom();
-  }
-  if (full_vocab) {
-    for (const auto& f : lang::packet_fields()) {
-      env[ir::field_loc(var, f.name)] = ConstVal::bottom();
-    }
-  }
-}
-
-/// Pointwise meet of `src` into `dst` (missing key = Top). Returns true
-/// when `dst` descended.
-bool merge_into(ConstEnv& dst, const ConstEnv& src) {
-  bool changed = false;
-  for (const auto& [loc, v] : src) {
-    if (v.is_top()) continue;  // Top adds no information
-    auto it = dst.find(loc);
-    if (it == dst.end()) {
-      dst.emplace(loc, v);
-      changed = true;
-    } else {
-      const ConstVal m = meet(it->second, v);
-      if (!(m == it->second)) {
-        it->second = m;
-        changed = true;
-      }
-    }
-  }
-  return changed;
 }
 
 }  // namespace
@@ -185,15 +151,19 @@ ConstVal eval_const(
 }
 
 ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env) : cfg_(cfg) {
-  in_.resize(cfg.size());
   exec_.assign(cfg.size(), false);
   edge_exec_.resize(cfg.size());
   for (std::size_t i = 0; i < cfg.size(); ++i) {
     edge_exec_[i].assign(cfg.nodes[i]->succs.size(), false);
   }
+  build_location_table(entry_env);
+  in_.resize(cfg.size() * locs_.size());
+  scratch_.resize(locs_.size());
+  OBS_GAUGE("constprop.locations", locs_.size());
   if (cfg.entry < 0) return;
 
-  in_[static_cast<std::size_t>(cfg.entry)] = std::move(entry_env);
+  Cell* entry = row(cfg.entry);
+  for (const auto& [loc, v] : entry_env) entry[loc_id(loc)] = to_cell(v);
   exec_[static_cast<std::size_t>(cfg.entry)] = true;
 
   std::deque<std::pair<int, int>> wl;
@@ -217,56 +187,151 @@ ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env) : cfg_(cfg) {
     }
   };
 
+  std::size_t visits = 0;
   push_live_edges(cfg.entry);
   while (!wl.empty()) {
     const auto [u, slot] = wl.front();
     wl.pop_front();
+    ++visits;
     const int v = cfg_.node(u).succs[static_cast<std::size_t>(slot)];
     if (v < 0) continue;
     edge_exec_[static_cast<std::size_t>(u)][static_cast<std::size_t>(slot)] =
         true;
-    const ConstEnv out =
-        transfer(cfg_.node(u), in_[static_cast<std::size_t>(u)]);
-    bool changed = merge_into(in_[static_cast<std::size_t>(v)], out);
+    bool changed = merge_into(v, transfer(u));
     if (!exec_[static_cast<std::size_t>(v)]) {
       exec_[static_cast<std::size_t>(v)] = true;
       changed = true;
     }
     if (changed) push_live_edges(v);
   }
+  OBS_GAUGE("constprop.edge_visits", visits);
 }
 
-ConstEnv ConstProp::transfer(const ir::Instr& n, const ConstEnv& in) const {
-  ConstEnv out = in;
-  const auto lookup = [&in](const ir::Location& loc) {
-    const auto it = in.find(loc);
-    return it == in.end() ? ConstVal::top() : it->second;
+void ConstProp::build_location_table(const ConstEnv& entry_env) {
+  // Every location a transfer can write, plus the seeds. A whole-variable
+  // def of a packet also writes the full packet-field vocabulary.
+  std::set<ir::Location> locs;
+  for (const auto& [loc, v] : entry_env) locs.insert(loc);
+  const auto is_packet_def = [](const ir::Instr& n) {
+    return n.kind == ir::InstrKind::kRecv ||
+           (n.kind == ir::InstrKind::kAssign &&
+            n.value->type == lang::Type::kPacket);
   };
-  switch (n.kind) {
-    case ir::InstrKind::kAssign: {
-      const ConstVal v = eval_const(*n.value, lookup);
-      smash_fields(out, n.var, n.value->type == lang::Type::kPacket);
-      out[n.var] = v;
-      break;
+  for (const auto& n : cfg_.nodes) {
+    for (const auto& d : n->defs()) locs.insert(d);
+    if (is_packet_def(*n)) {
+      for (const auto& f : lang::packet_fields()) {
+        locs.insert(ir::field_loc(n->var, f.name));
+      }
     }
-    case ir::InstrKind::kRecv:
-      smash_fields(out, n.var, /*full_vocab=*/true);
-      out[n.var] = ConstVal::bottom();
-      break;
-    case ir::InstrKind::kFieldStore:
-      out[ir::field_loc(n.var, n.field)] = eval_const(*n.value, lookup);
-      break;
-    case ir::InstrKind::kIndexStore:
-      out[n.var] = ConstVal::bottom();
-      break;
-    case ir::InstrKind::kCall:
-      // push/pop smash their container; pop's result is unknown.
-      for (const auto& loc : n.defs()) out[loc] = ConstVal::bottom();
-      break;
-    default:
-      break;  // entry/exit/branch/send: no defs
   }
-  return out;
+  locs_.assign(locs.begin(), locs.end());
+
+  defs_.resize(cfg_.size());
+  for (const auto& n : cfg_.nodes) {
+    NodeDefs& d = defs_[static_cast<std::size_t>(n->id)];
+    switch (n->kind) {
+      case ir::InstrKind::kAssign:
+      case ir::InstrKind::kRecv: {
+        // Whole-variable strong def: the variable's field facts die. Its
+        // fields sort contiguously right after "var.".
+        const std::string prefix = n->var + ".";
+        const auto lo = std::lower_bound(locs_.begin(), locs_.end(), prefix);
+        auto hi = lo;
+        while (hi != locs_.end() && hi->compare(0, prefix.size(), prefix) == 0) {
+          ++hi;
+        }
+        d.smash_lo = static_cast<int>(lo - locs_.begin());
+        d.smash_hi = static_cast<int>(hi - locs_.begin());
+        if (is_packet_def(*n)) {
+          for (const auto& f : lang::packet_fields()) {
+            d.bottom.push_back(loc_id(ir::field_loc(n->var, f.name)));
+          }
+        }
+        if (n->kind == ir::InstrKind::kAssign) {
+          d.target = loc_id(n->var);
+        } else {
+          d.bottom.push_back(loc_id(n->var));
+        }
+        break;
+      }
+      case ir::InstrKind::kFieldStore:
+        d.target = loc_id(ir::field_loc(n->var, n->field));
+        break;
+      case ir::InstrKind::kIndexStore:
+      case ir::InstrKind::kCall:
+        // Weak container updates and pop's result: unknown afterwards.
+        for (const auto& loc : n->defs()) d.bottom.push_back(loc_id(loc));
+        break;
+      default:
+        break;  // entry/exit/branch/send: no defs
+    }
+  }
+}
+
+int ConstProp::loc_id(const ir::Location& loc) const {
+  const auto it = std::lower_bound(locs_.begin(), locs_.end(), loc);
+  if (it == locs_.end() || *it != loc) return -1;
+  return static_cast<int>(it - locs_.begin());
+}
+
+ConstProp::Cell ConstProp::to_cell(const ConstVal& v) {
+  switch (v.kind) {
+    case ConstVal::Kind::kInt: return {v.kind, v.i};
+    case ConstVal::Kind::kBool: return {v.kind, v.b ? 1 : 0};
+    case ConstVal::Kind::kStr: {
+      const auto [it, fresh] =
+          str_ids_.emplace(v.s, static_cast<std::int64_t>(strs_.size()));
+      if (fresh) strs_.push_back(v.s);
+      return {v.kind, it->second};
+    }
+    default: return {v.kind, 0};
+  }
+}
+
+ConstVal ConstProp::to_val(const Cell& c) const {
+  switch (c.kind) {
+    case ConstVal::Kind::kInt: return ConstVal::of_int(c.v);
+    case ConstVal::Kind::kBool: return ConstVal::of_bool(c.v != 0);
+    case ConstVal::Kind::kStr:
+      return ConstVal::of_str(strs_[static_cast<std::size_t>(c.v)]);
+    case ConstVal::Kind::kBottom: return ConstVal::bottom();
+    default: return ConstVal::top();
+  }
+}
+
+const ConstProp::Cell* ConstProp::transfer(int n) {
+  const Cell* in = row(n);
+  const NodeDefs& d = defs_[static_cast<std::size_t>(n)];
+  if (d.target < 0 && d.bottom.empty() && d.smash_lo == d.smash_hi) return in;
+  std::copy(in, in + locs_.size(), scratch_.begin());
+  constexpr Cell kBottom{ConstVal::Kind::kBottom, 0};
+  for (int id = d.smash_lo; id < d.smash_hi; ++id) {
+    Cell& c = scratch_[static_cast<std::size_t>(id)];
+    if (c.kind != ConstVal::Kind::kTop) c = kBottom;
+  }
+  for (const int id : d.bottom) scratch_[static_cast<std::size_t>(id)] = kBottom;
+  if (d.target >= 0) {
+    scratch_[static_cast<std::size_t>(d.target)] =
+        to_cell(eval_in(n, *cfg_.node(n).value));
+  }
+  return scratch_.data();
+}
+
+bool ConstProp::merge_into(int node, const Cell* src) {
+  bool changed = false;
+  Cell* dst = row(node);
+  for (std::size_t i = 0; i < locs_.size(); ++i) {
+    const Cell& s = src[i];
+    Cell& d = dst[i];
+    if (s.kind == ConstVal::Kind::kTop || d == s ||
+        d.kind == ConstVal::Kind::kBottom) {
+      continue;  // Top adds nothing; Bottom absorbs
+    }
+    d = d.kind == ConstVal::Kind::kTop ? s : Cell{ConstVal::Kind::kBottom, 0};
+    changed = true;
+  }
+  return changed;
 }
 
 bool ConstProp::edge_executable(int node, int slot) const {
@@ -281,9 +346,8 @@ bool ConstProp::edge_executable(int node, int slot) const {
 }
 
 ConstVal ConstProp::value_in(int node, const ir::Location& loc) const {
-  const auto& env = in_[static_cast<std::size_t>(node)];
-  const auto it = env.find(loc);
-  return it == env.end() ? ConstVal::top() : it->second;
+  const int id = loc_id(loc);
+  return id < 0 ? ConstVal::top() : to_val(row(node)[id]);
 }
 
 ConstVal ConstProp::eval_in(int node, const lang::Expr& e) const {

@@ -10,7 +10,14 @@
 // The pass interleaves value propagation with edge executability: a
 // branch whose condition evaluates to a constant only propagates along
 // the taken edge, so code behind provably-dead arms never pollutes the
-// merge points (Wegman–Zadeck, adapted to our non-SSA location maps).
+// merge points (Wegman–Zadeck, adapted to our non-SSA locations).
+//
+// Environments are dense. Construction builds a per-CFG location table
+// once — the entry seed's keys plus every location a transfer can
+// write — and keeps each node's entry environment as one row of 16-byte
+// cells indexed by location id. A transfer copies its node's row into a
+// reused scratch row and applies the node's precomputed def ids; a merge
+// is a linear meet of that row into the successor's.
 //
 // Clients:
 //   - lint NF204 (unreachable arm) / NF207 (invalid send port), with
@@ -105,10 +112,50 @@ class ConstProp {
   ConstVal branch_decision(int node) const;
 
  private:
-  ConstEnv transfer(const ir::Instr& n, const ConstEnv& in) const;
+  /// One dense lattice cell: the kind plus a payload (the int, the bool
+  /// as 0/1, or an id into `strs_`). Top and Bottom carry payload 0, so
+  /// cell equality is lattice-value equality.
+  struct Cell {
+    ConstVal::Kind kind = ConstVal::Kind::kTop;
+    std::int64_t v = 0;
+
+    bool operator==(const Cell& o) const { return kind == o.kind && v == o.v; }
+  };
+
+  /// A node's writes as location ids. `target` (kAssign/kFieldStore)
+  /// takes the node's evaluated value; `bottom` goes to Bottom; ids in
+  /// [smash_lo, smash_hi) — the target variable's tracked fields — go to
+  /// Bottom only where they are already defined (not Top).
+  struct NodeDefs {
+    int target = -1;
+    std::vector<int> bottom;
+    int smash_lo = 0;
+    int smash_hi = 0;
+  };
+
+  void build_location_table(const ConstEnv& entry_env);
+  int loc_id(const ir::Location& loc) const;  // -1: never tracked
+  Cell* row(int node) {
+    return in_.data() + static_cast<std::size_t>(node) * locs_.size();
+  }
+  const Cell* row(int node) const {
+    return in_.data() + static_cast<std::size_t>(node) * locs_.size();
+  }
+  Cell to_cell(const ConstVal& v);
+  ConstVal to_val(const Cell& c) const;
+  /// Node `n`'s out-environment: its in-row when it writes nothing,
+  /// else scratch_ holding the in-row with the node's defs applied.
+  const Cell* transfer(int n);
+  /// Pointwise meet of `src` into `node`'s row; true when it descended.
+  bool merge_into(int node, const Cell* src);
 
   const ir::Cfg& cfg_;
-  std::vector<ConstEnv> in_;
+  std::vector<ir::Location> locs_;  // sorted; a location's id is its index
+  std::vector<NodeDefs> defs_;
+  std::vector<std::string> strs_;
+  std::map<std::string, std::int64_t> str_ids_;
+  std::vector<Cell> in_;       // cfg_.size() rows of locs_.size() cells
+  std::vector<Cell> scratch_;  // one row, reused by every transfer
   std::vector<bool> exec_;
   std::vector<std::vector<bool>> edge_exec_;
 };

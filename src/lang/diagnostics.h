@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "lang/token.h"
@@ -109,12 +110,19 @@ class DiagnosticSink {
 class FrontendError : public std::runtime_error {
  public:
   FrontendError(SourceLoc loc, const std::string& msg, std::string code = {})
-      : std::runtime_error(Diagnostic{loc, msg, Severity::kError, code}.render()),
-        diag_{loc, msg, Severity::kError, std::move(code)} {}
+      : std::runtime_error(msg),
+        diag_{loc, msg, Severity::kError, std::move(code)},
+        what_(diag_.render()) {}
   const Diagnostic& diag() const { return diag_; }
+
+  /// Names the source unit in what(). The lexer, sema and lowering do
+  /// not know it, so the caller that does sets it before rethrowing.
+  void set_unit(const std::string& unit) { what_ = diag_.render(unit); }
+  const char* what() const noexcept override { return what_.c_str(); }
 
  private:
   Diagnostic diag_;
+  std::string what_;
 };
 
 class LexError : public FrontendError {
@@ -126,12 +134,13 @@ class ParseError : public FrontendError {
 class SemaError : public FrontendError {
   using FrontendError::FrontendError;
 };
-/// An expression nested past the parser's depth limit (NF105): parse,
-/// sema, lowering and SE all recurse on expression depth.
+/// A construct nested past one of the parser's depth limits: an
+/// expression (NF105) or a statement (NF106). Parse, sema and lowering
+/// recurse on both, and SE on expressions.
 class DepthError : public ParseError {
  public:
-  DepthError(SourceLoc loc, const std::string& msg)
-      : ParseError(loc, msg, "NF105") {}
+  DepthError(SourceLoc loc, const std::string& msg, std::string code)
+      : ParseError(loc, msg, std::move(code)) {}
 };
 
 }  // namespace nfactor::lang

@@ -165,8 +165,36 @@ class Parser {
     }
   }
 
+  // Statement depth: the number of if/while/for statements enclosing
+  // the one being parsed. An `else if` nests its `if` inside the outer
+  // one, so a chain of N arms is N levels deep. Later stages recurse on
+  // statement nesting as this parser does, so it is capped like
+  // expressions are; the cap is looser because long `else if` chains
+  // are a real NF shape.
+  static constexpr int kMaxStmtDepth = 1024;
+
+  /// Counts one compound-statement level for its lifetime.
+  class StmtLevel {
+   public:
+    StmtLevel(Parser& p, SourceLoc loc) : p_(p) {
+      if (++p_.stmt_depth_ > kMaxStmtDepth) {
+        throw DepthError(loc,
+                         "statement nested deeper than " +
+                             std::to_string(kMaxStmtDepth) + " levels",
+                         "NF106");
+      }
+    }
+    StmtLevel(const StmtLevel&) = delete;
+    StmtLevel& operator=(const StmtLevel&) = delete;
+    ~StmtLevel() { --p_.stmt_depth_; }
+
+   private:
+    Parser& p_;
+  };
+
   StmtPtr if_stmt() {
     auto s = std::make_unique<If>(expect(Tok::kIf, "'if'").loc);
+    const StmtLevel level(*this, s->loc);
     expect(Tok::kLParen, "'('");
     s->cond = expression();
     expect(Tok::kRParen, "')'");
@@ -183,6 +211,7 @@ class Parser {
 
   StmtPtr while_stmt() {
     auto s = std::make_unique<While>(expect(Tok::kWhile, "'while'").loc);
+    const StmtLevel level(*this, s->loc);
     expect(Tok::kLParen, "'('");
     s->cond = expression();
     expect(Tok::kRParen, "')'");
@@ -192,6 +221,7 @@ class Parser {
 
   StmtPtr for_stmt() {
     auto s = std::make_unique<For>(expect(Tok::kFor, "'for'").loc);
+    const StmtLevel level(*this, s->loc);
     s->var = expect(Tok::kIdent, "loop variable").text;
     expect(Tok::kIn, "'in'");
     s->begin = expression();
@@ -305,8 +335,10 @@ class Parser {
 
   int checked_depth(int depth, SourceLoc loc) const {
     if (depth > kMaxExprDepth) {
-      throw DepthError(loc, "expression nested deeper than " +
-                                std::to_string(kMaxExprDepth) + " levels");
+      throw DepthError(loc,
+                       "expression nested deeper than " +
+                           std::to_string(kMaxExprDepth) + " levels",
+                       "NF105");
     }
     return depth;
   }
@@ -444,6 +476,7 @@ class Parser {
   std::size_t pos_ = 0;
   int nesting_ = 0;
   int depth_ = 0;
+  int stmt_depth_ = 0;
 };
 
 }  // namespace

@@ -89,8 +89,7 @@ bool lint_source(std::string_view source, const std::string& unit,
     sink.report(e.diag().loc, lang::Severity::kError, "NF101",
                 e.diag().message);
   } catch (const lang::DepthError& e) {
-    sink.report(e.diag().loc, lang::Severity::kError, "NF105",
-                e.diag().message);
+    sink.report(e.diag());  // NF105 or NF106
   } catch (const lang::ParseError& e) {
     sink.report(e.diag().loc, lang::Severity::kError, "NF102",
                 e.diag().message);

@@ -169,7 +169,12 @@ PipelineResult run(const lang::Program& prog, const PipelineOptions& opts) {
 
 PipelineResult run_source(std::string_view source, std::string unit_name,
                           const PipelineOptions& opts) {
-  return run(lang::parse(source, std::move(unit_name)), opts);
+  try {
+    return run(lang::parse(source, unit_name), opts);
+  } catch (lang::FrontendError& e) {
+    e.set_unit(unit_name);  // render as lint does: `unit:line:col: ...`
+    throw;
+  }
 }
 
 }  // namespace nfactor::pipeline

@@ -98,7 +98,8 @@ struct PipelineResult {
 
 PipelineResult run(const lang::Program& prog, const PipelineOptions& opts = {});
 
-/// Parse + run.
+/// Parse + run. A lang::FrontendError's what() names `unit_name`, as
+/// the lint renderer does.
 PipelineResult run_source(std::string_view source, std::string unit_name,
                           const PipelineOptions& opts = {});
 

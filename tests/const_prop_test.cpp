@@ -7,6 +7,7 @@
 
 #include "ir/ir.h"
 #include "ir/lower.h"
+#include "lang/builtins.h"
 #include "tests/test_util.h"
 
 namespace nfactor {
@@ -230,6 +231,77 @@ TEST(ConstPropTest, EntryEnvSeedsPersistents) {
   const ConstProp no_cfg(m.body, agnostic);
   EXPECT_TRUE(
       no_cfg.value_in(send->id, ir::field_loc("pkt", "ip_ttl")).is_bottom());
+}
+
+TEST(ConstPropTest, WholeVarAssignSmashesOnlyDefinedFields) {
+  // `q` is not packet-typed (a map element), so re-assigning it kills
+  // the field facts it has, and only those: ip_tos is stored after the
+  // send, so at the send it was never defined and stays Top.
+  const auto m = lowered(nf_body(R"(q = tbl[0];
+    q.ip_ttl = 7;
+    q = tbl[1];
+    send(q, 0);
+    q.ip_tos = 3;)",
+                                 "var tbl = {};"));
+  const ConstProp cp(m.body, {});
+  const auto* send = find_kind(m.body, ir::InstrKind::kSend);
+  ASSERT_NE(send, nullptr);
+  EXPECT_TRUE(cp.value_in(send->id, "q").is_bottom());
+  EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("q", "ip_ttl")).is_bottom());
+  EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("q", "ip_tos")).is_top());
+}
+
+TEST(ConstPropTest, PacketDefsSmashEveryPacketField) {
+  // recv() and a packet-typed assignment define the whole packet: all
+  // 17 fields read Bottom afterwards, written or not.
+  const auto m = lowered(nf_body("q = pkt;\n    send(q, 0);"));
+  const ConstProp cp(m.body, {});
+  const auto* send = find_kind(m.body, ir::InstrKind::kSend);
+  ASSERT_NE(send, nullptr);
+  ASSERT_EQ(lang::packet_fields().size(), 17u);
+  for (const auto& f : lang::packet_fields()) {
+    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("pkt", f.name)).is_bottom())
+        << f.name;
+    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("q", f.name)).is_bottom())
+        << f.name;
+  }
+}
+
+TEST(ConstPropTest, StringConstantsMeetByValue) {
+  const auto body = [](const char* a, const char* b) {
+    return nf_body(std::string("if (pkt.len > 5) {\n      s = \"") + a +
+                   "\";\n    } else {\n      s = \"" + b +
+                   "\";\n    }\n    send(pkt, 0);");
+  };
+  const auto agree = lowered(body("lan", "lan"));
+  const ConstProp cp1(agree.body, {});
+  const auto* send1 = find_kind(agree.body, ir::InstrKind::kSend);
+  ASSERT_NE(send1, nullptr);
+  EXPECT_EQ(cp1.value_in(send1->id, "s"), ConstVal::of_str("lan"));
+
+  const auto differ = lowered(body("lan", "wan"));
+  const ConstProp cp2(differ.body, {});
+  const auto* send2 = find_kind(differ.body, ir::InstrKind::kSend);
+  ASSERT_NE(send2, nullptr);
+  EXPECT_TRUE(cp2.value_in(send2->id, "s").is_bottom());
+}
+
+TEST(ConstPropTest, UnmentionedLocationsReadTop) {
+  const auto m = lowered(nf_body("pkt.ip_ttl = 7;\n    send(pkt, 0);"));
+  const ConstProp cp(m.body, {});
+  const auto* send = find_kind(m.body, ir::InstrKind::kSend);
+  ASSERT_NE(send, nullptr);
+  EXPECT_TRUE(cp.value_in(send->id, "nowhere").is_top());
+  EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("nowhere", "ip_ttl")).is_top());
+
+  const lang::SourceLoc loc{1, 1};
+  const lang::Binary sum(lang::BinOp::kAdd,
+                         std::make_unique<lang::VarRef>("nowhere", loc),
+                         std::make_unique<lang::IntLit>(1, loc), loc);
+  EXPECT_TRUE(cp.eval_in(send->id, sum).is_top());
+  const lang::FieldRef field(std::make_unique<lang::VarRef>("nowhere", loc),
+                             "ip_ttl", loc);
+  EXPECT_TRUE(cp.eval_in(send->id, field).is_top());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/diagnostics.h"
 #include "nfs/corpus.h"
 
@@ -168,13 +170,14 @@ std::string repeat(const std::string& unit, int n) {
   return out;
 }
 
-void expect_depth_error(const std::string& src) {
+void expect_depth_error(const std::string& src,
+                        const std::string& code = "NF105") {
   try {
     parse(src);
     FAIL() << "expected DepthError";
   } catch (const DepthError& e) {
-    EXPECT_EQ(e.diag().code, "NF105");
-    EXPECT_NE(std::string(e.what()).find("NF105"), std::string::npos);
+    EXPECT_EQ(e.diag().code, code);
+    EXPECT_NE(std::string(e.what()).find(code), std::string::npos);
   }
 }
 
@@ -197,8 +200,66 @@ TEST(Parser, ExpressionsAtTheDepthLimitParse) {
   EXPECT_THROW(parse("var T = 1" + repeat(" + 1", 256) + ";"), DepthError);
   EXPECT_NO_THROW(parse("var T = " + repeat("-", 200) + "1;"));
   // Deep statement nesting is not expression depth.
-  EXPECT_NO_THROW(parse("def f() { " + repeat("if (true) { ", 2000) +
-                        repeat("} ", 2000) + "}"));
+  EXPECT_NO_THROW(parse("def f() { " + repeat("if (true) { ", 1000) +
+                        repeat("} ", 1000) + "}"));
+}
+
+/// Statement depth: if/while/for statements enclosing `s`, counting an
+/// `else if` as one level inside the `if` it continues.
+int stmt_depth(const Stmt& s) {
+  switch (s.kind) {
+    case StmtKind::kBlock: {
+      int d = 0;
+      for (const auto& c : static_cast<const Block&>(s).stmts) {
+        d = std::max(d, stmt_depth(*c));
+      }
+      return d;
+    }
+    case StmtKind::kIf: {
+      const auto& i = static_cast<const If&>(s);
+      const int e = i.else_body ? stmt_depth(*i.else_body) : 0;
+      return 1 + std::max(stmt_depth(*i.then_body), e);
+    }
+    case StmtKind::kWhile:
+      return 1 + stmt_depth(*static_cast<const While&>(s).body);
+    case StmtKind::kFor:
+      return 1 + stmt_depth(*static_cast<const For&>(s).body);
+    default:
+      return 0;
+  }
+}
+
+TEST(Parser, DeepStatementsAreRejected) {
+  // 100,000 nested blocks overflowed the stack in lowering before the
+  // cap; each compound statement kind counts, and so does each arm of
+  // an `else if` chain.
+  const std::string guard = "if (pkt.len > 1) { ";
+  expect_depth_error("def f() { " + repeat(guard, 100000) +
+                         repeat("} ", 100000) + "}",
+                     "NF106");
+  expect_depth_error("def f() { if (a) { } " + repeat("else if (a) { } ", 2000) +
+                         "}",
+                     "NF106");
+  expect_depth_error("def f() { " + repeat("while (a) { ", 1025) +
+                         repeat("} ", 1025) + "}",
+                     "NF106");
+  expect_depth_error("def f() { " + repeat("for i in 0..2 { ", 1025) +
+                         repeat("} ", 1025) + "}",
+                     "NF106");
+
+  // 1,024 levels is the limit itself; sibling statements do not add up.
+  EXPECT_NO_THROW(parse("def f() { " + repeat("while (a) { ", 1024) +
+                        repeat("} ", 1024) + "}"));
+  EXPECT_NO_THROW(parse("def f() { " + repeat("if (a) { } ", 5000) + "}"));
+
+  // Every bundled NF parses, far below the cap.
+  int deepest = 0;
+  for (const auto& e : nfs::corpus()) {
+    const Program p = parse(e.source, std::string(e.name));
+    for (const auto& f : p.funcs) deepest = std::max(deepest, stmt_depth(*f.body));
+  }
+  EXPECT_GT(deepest, 1);
+  EXPECT_LT(deepest, 16);
 }
 
 TEST(Parser, CloneIsDeep) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "lang/diagnostics.h"
+#include "nfactor/pipeline.h"
 #include "nfs/corpus.h"
 #include "tests/test_util.h"
 
@@ -294,6 +295,50 @@ TEST(LintFrontendTest, DeepExpressionBecomesNF105) {
   EXPECT_FALSE(ok);
   EXPECT_TRUE(has_code(sink, "NF105")) << sink.render_text();
   EXPECT_FALSE(has_code(sink, "NF102")) << sink.render_text();
+}
+
+TEST(LintFrontendTest, DeepStatementBecomesNF106) {
+  DiagnosticSink sink;
+  std::string body;
+  for (int i = 0; i < 100000; ++i) body += "if (pkt.len > 1) { ";
+  body += "send(pkt, 0);";
+  for (int i = 0; i < 100000; ++i) body += " }";
+  const bool ok = lint::lint_source(nf_body(body), "<test>", sink);
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(has_code(sink, "NF106")) << sink.render_text();
+  EXPECT_FALSE(has_code(sink, "NF102")) << sink.render_text();
+}
+
+TEST(LintFrontendTest, SynthesisErrorsNameTheUnitLikeLint) {
+  // The synthesis path throws; lint reports into a sink. Both render
+  // the same `unit:line:col:` diagnostic.
+  std::string sum = "1";
+  for (int i = 0; i < 300; ++i) sum += " + 1";
+  std::string nest;
+  for (int i = 0; i < 1100; ++i) nest += "if (pkt.len > 1) { ";
+  for (int i = 0; i < 1100; ++i) nest += "} ";
+  for (const std::string& src :
+       {nf_body("x = " + sum + ";"), nf_body(nest), std::string("def main( {")}) {
+    DiagnosticSink sink;
+    EXPECT_FALSE(lint::lint_source(src, "f.nf", sink));
+    ASSERT_EQ(sink.size(), 1u);
+    try {
+      pipeline::run_source(src, "f.nf");
+      ADD_FAILURE() << "expected a frontend error";
+    } catch (const lang::FrontendError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("f.nf:", 0), 0u) << what;
+      if (e.diag().code.empty()) {
+        // Uncoded errors (here: a ParseError) render without a code; the
+        // lint sink files them as NF101-NF104.
+        const auto& d = sink.diagnostics()[0];
+        EXPECT_EQ(what, "f.nf:" + std::to_string(d.loc.line) + ":" +
+                            std::to_string(d.loc.col) + ": " + d.message);
+      } else {
+        EXPECT_EQ(what + "\n", sink.render_text("f.nf"));
+      }
+    }
+  }
 }
 
 TEST(LintFrontendTest, SemaErrorBecomesNF103) {

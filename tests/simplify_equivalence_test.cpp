@@ -42,6 +42,20 @@ TEST(SimplifyCoreTest, ModelIdenticalOnEveryCorpusNf) {
   }
 }
 
+TEST(SimplifyCoreTest, ModelIdenticalOnGeneratedNf) {
+  // 1,727 lines: large enough that a location-table or worklist slip
+  // in the SCCP shows up, small enough for every build flavor.
+  const std::string src = testutil::generated_nf(400);
+  pipeline::PipelineOptions opts;
+  const auto base = pipeline::run_source(src, "generated", opts);
+  opts.simplify.enabled = true;
+  const auto core = pipeline::run_source(src, "generated", opts);
+  EXPECT_EQ(base.module->body.real_nodes().size(),
+            core.module->body.real_nodes().size());
+  EXPECT_EQ(model::to_json(base.model), model::to_json(core.model));
+  EXPECT_EQ(base.model.entries.size(), 41u);
+}
+
 TEST(SimplifyFoldConfigTest, ActionSetsEquivalentUnderConfig) {
   for (const auto& e : nfs::corpus()) {
     SCOPED_TRACE(std::string(e.name));

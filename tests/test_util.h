@@ -40,6 +40,28 @@ inline std::string nf_body(const std::string& stmts,
          stmts + "\n  }\n}\n";
 }
 
+/// A size-parameterized NF: `counters` globals `c<i>`, each bumped by
+/// its own guarded block, then `counters / 10` dport rules that drop,
+/// then a send. It has 4.3 * counters + 7 lines (counters = 400 gives
+/// 1,727; 1,600 gives 6,887), and every layer's work grows with it.
+inline std::string generated_nf(int counters) {
+  std::string src = "var OUT = 1;\n";
+  for (int i = 0; i < counters; ++i) {
+    src += "var c" + std::to_string(i) + " = 0;\n";
+  }
+  src += "def main() {\n  while (true) {\n    pkt = recv(0);\n";
+  for (int i = 0; i < counters; ++i) {
+    const std::string c = "c" + std::to_string(i);
+    src += "    if (pkt.len > " + std::to_string(i) + ") {\n      " + c +
+           " = " + c + " + pkt.ip_ttl;\n    }\n";
+  }
+  for (int r = 0; r < counters / 10; ++r) {
+    src += "    if (pkt.dport == " + std::to_string(1000 + r) +
+           ") {\n      return;\n    }\n";
+  }
+  return src + "    send(pkt, OUT);\n  }\n}\n";
+}
+
 /// A plain TCP client packet for runtime tests.
 inline netsim::Packet tcp_packet(const std::string& src_ip, int sport,
                                  const std::string& dst_ip, int dport,
