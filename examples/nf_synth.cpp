@@ -176,6 +176,17 @@ bool extract_flag(std::vector<std::string>& args, const std::string& flag) {
   return seen;
 }
 
+/// The CLI runs the full production pipeline: simplify on (with config
+/// folding) unless --no-simplify asks for the raw IR. Every synthesis
+/// mode, --all included, starts from these options.
+nfactor::pipeline::PipelineOptions cli_options(int jobs, bool no_simplify) {
+  nfactor::pipeline::PipelineOptions opts;
+  opts.jobs = jobs;
+  opts.simplify.enabled = !no_simplify;
+  opts.simplify.fold_config = !no_simplify;
+  return opts;
+}
+
 void print_se_stats(const char* label, const nfactor::symex::ExecStats& s) {
   std::printf("%s: %s\n", label, s.to_string().c_str());
 }
@@ -238,10 +249,8 @@ int main(int argc, char** argv) {
     std::fputc('\n', stdout);
     for (const auto& e : nfactor::nfs::corpus()) {
       try {
-        pipeline::PipelineOptions all_opts;
-        all_opts.jobs = jobs;
-        const auto r =
-            pipeline::run_source(e.source, std::string(e.name), all_opts);
+        const auto r = pipeline::run_source(e.source, std::string(e.name),
+                                            cli_options(jobs, no_simplify));
         std::printf("%-12s | %-18s | %5d %5d %5d | %5zu | %7zu%s\n",
                     std::string(e.name).c_str(),
                     std::string(e.structure).c_str(), r.loc_orig, r.loc_slice,
@@ -297,13 +306,8 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   try {
-    pipeline::PipelineOptions opts;
-    opts.jobs = jobs;
+    auto opts = cli_options(jobs, no_simplify);
     if (mode == "--stats") opts.run_orig_se = true;
-    // The CLI runs the full production pipeline: simplify on (with
-    // config folding) unless --no-simplify asks for the raw IR.
-    opts.simplify.enabled = !no_simplify;
-    opts.simplify.fold_config = !no_simplify;
     const auto r = pipeline::run_source(source, unit, opts);
 
     if (mode == "--table") {

@@ -1,7 +1,7 @@
 // Small dense bitset for dataflow fixpoints (std::vector<bool> has the
 // right semantics but poor word-level ops; this keeps union/intersection
-// word-wide, which matters when reaching-defs runs inside the Table-2
-// benchmark loop).
+// word-wide, which matters because reaching defs runs in every
+// synthesis, inside perfbench's analysis.slicing_ms).
 #pragma once
 
 #include <cstdint>

@@ -91,8 +91,7 @@ struct Op {
 /// skip table and scan *adaptively*: start on the memchr hop (unbeatable
 /// when the first byte is rare — one vectorized sweep), and switch to
 /// BMH striding the moment candidate density proves high. The crossover
-/// is measured by bench_dataplane's payload-scan microbench (gauge
-/// dataplane.payload_scan.ns_per_kb).
+/// measurement is EXPERIMENTS.md's payload-scan table.
 struct Needle {
   std::string text;
   std::array<std::uint8_t, 256> skip{};  ///< BMH shift table (long needles)
@@ -101,7 +100,8 @@ struct Needle {
 
 /// Needles shorter than this never engage BMH: its per-probe cost only
 /// amortizes once the stride (needle length) is long enough to skip
-/// whole words per probe; below it even a degenerate memchr hop wins.
+/// whole words per probe; below it even a degenerate memchr hop wins
+/// (EXPERIMENTS.md, payload-scan table).
 inline constexpr std::size_t kBmhMinNeedle = 8;
 
 /// Failed first-byte candidates the adaptive scan tolerates on the
@@ -113,12 +113,11 @@ inline constexpr std::size_t kScanSwitchCandidates = 16;
 
 Needle make_needle(std::string text);
 
-// Scan primitives, exposed for the payload-scan microbench. The engine
-// itself always goes through payload_contains, which runs the memchr
-// hop for short needles and scan_adaptive for use_bmh needles. Defined
-// inline here so the threaded executor (threaded.cpp) and the stack
-// machine (engine.cpp) get them inlined into their hot loops instead of
-// paying a cross-TU call per scan.
+// Scan primitives. The engine always goes through payload_contains,
+// which runs the memchr hop for short needles and scan_adaptive for
+// use_bmh needles. Defined inline here so the threaded executor
+// (threaded.cpp) and the stack machine (engine.cpp) get them inlined
+// into their hot loops instead of paying a cross-TU call per scan.
 
 /// Substring scan tuned for packet payloads: memchr (SIMD) hops between
 /// first-byte candidates, memcmp confirms. glibc memmem's preprocessing
@@ -145,8 +144,8 @@ inline bool scan_memchr_hop(std::span<const std::uint8_t> hay,
 /// Boyer–Moore–Horspool: probe the byte aligned with the needle's end
 /// and stride by its skip-table shift. For needles >= kBmhMinNeedle the
 /// average stride approaches the needle length, beating memchr's
-/// byte-at-a-time candidate scan (bench_dataplane's payload-scan
-/// section measures the crossover).
+/// byte-at-a-time candidate scan (EXPERIMENTS.md's payload-scan table
+/// has the crossover).
 inline bool scan_bmh(std::span<const std::uint8_t> hay, const Needle& n) {
   const std::size_t nn = n.text.size();
   if (nn == 0) return true;

@@ -615,19 +615,14 @@ std::vector<ExecPath> SymbolicExecutor::run(const ExecOptions& opts,
 #if NFACTOR_OBS_ENABLED
           const std::int64_t q0 = prof_now();
 #endif
-          const bool sat_t = opts.assume_all_feasible ||
-                             solver.check(pc_true) == SatResult::kSat;
-          const bool sat_f = opts.assume_all_feasible ||
-                             solver.check(pc_false) == SatResult::kSat;
+          const bool sat_t = solver.check(pc_true) == SatResult::kSat;
+          const bool sat_f = solver.check(pc_false) == SatResult::kSat;
 #if NFACTOR_OBS_ENABLED
-          if (!opts.assume_all_feasible) {
-            const std::uint64_t qns =
-                static_cast<std::uint64_t>(prof_now() - q0);
-            cont_queries += 2;
-            cont_solver_ns += qns;
-            local_solver_ns += qns;
-            cont_branch_ns.emplace_back(n.id, qns);
-          }
+          const std::uint64_t qns = static_cast<std::uint64_t>(prof_now() - q0);
+          cont_queries += 2;
+          cont_solver_ns += qns;
+          local_solver_ns += qns;
+          cont_branch_ns.emplace_back(n.id, qns);
 #endif
 
           if (sat_t && sat_f) {

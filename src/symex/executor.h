@@ -84,10 +84,6 @@ struct ExecOptions {
   std::size_t max_steps_per_path = 50000;
   double timeout_ms = 120000.0;
   const std::set<int>* filter = nullptr;  // run only these nodes (slice SE)
-  /// Ablation switch: skip the feasibility solver and fork both sides of
-  /// every symbolic branch. Produces spurious (infeasible) paths — used
-  /// by bench_ablation to quantify what the solver buys.
-  bool assume_all_feasible = false;
 
   /// Worker threads exploring pending forks: 0 picks
   /// hardware_concurrency, 1 runs serially on the calling thread. Any
