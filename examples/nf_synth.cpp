@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
     } else if (mode == "--explain") {
       std::string query;
       if (args.size() > flag_start + 1) query = args[flag_start + 1];
-      std::printf("%s", obs::explain(r.provenance, query).c_str());
+      std::printf("%s", obs::explain(r.provenance, *r.module, query).c_str());
     } else if (mode == "--dot-cfg") {
       std::printf("%s", ir::to_dot(r.module->body, unit, r.union_slice).c_str());
     } else if (mode == "--dot-pdg") {

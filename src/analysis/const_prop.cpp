@@ -111,43 +111,53 @@ ConstVal eval_const(
       const auto& base = static_cast<const lang::VarRef&>(*f.base);
       return lookup(ir::field_loc(base.name, f.field));
     }
-    case lang::ExprKind::kUnary: {
-      const auto& u = static_cast<const lang::Unary&>(e);
-      const ConstVal v = eval_const(*u.operand, lookup);
-      if (v.is_top()) return v;
-      if (u.op == UnOp::kNeg && v.kind == ConstVal::Kind::kInt) {
-        return ConstVal::of_int(-v.i);
-      }
-      if (u.op == UnOp::kNot && v.kind == ConstVal::Kind::kBool) {
-        return ConstVal::of_bool(!v.b);
-      }
-      return ConstVal::bottom();
-    }
+    case lang::ExprKind::kUnary:
+      return eval_step(
+          e, eval_const(*static_cast<const lang::Unary&>(e).operand, lookup),
+          ConstVal::top());
     case lang::ExprKind::kBinary: {
       const auto& b = static_cast<const lang::Binary&>(e);
-      if (b.op == BinOp::kAnd || b.op == BinOp::kOr) {
-        // Short-circuit folding only off a Const left side: the right
-        // side may divide by zero at runtime, so it must not be skipped
-        // on the strength of its own constness.
-        const ConstVal l = eval_const(*b.lhs, lookup);
-        if (l.kind == ConstVal::Kind::kBool) {
-          if (b.op == BinOp::kAnd && !l.b) return ConstVal::of_bool(false);
-          if (b.op == BinOp::kOr && l.b) return ConstVal::of_bool(true);
-          const ConstVal r = eval_const(*b.rhs, lookup);
-          if (r.is_top()) return r;
-          if (r.kind == ConstVal::Kind::kBool) return r;
-          return ConstVal::bottom();
-        }
-        return l.is_top() ? ConstVal::top() : ConstVal::bottom();
-      }
-      return eval_binary(b.op, eval_const(*b.lhs, lookup),
-                         eval_const(*b.rhs, lookup));
+      const ConstVal l = eval_const(*b.lhs, lookup);
+      // `and`/`or` read their right side only after a Bool left side
+      // that does not decide them.
+      const bool logical = b.op == BinOp::kAnd || b.op == BinOp::kOr;
+      const bool reads_rhs =
+          !logical || (l.kind == ConstVal::Kind::kBool && l.b == (b.op == BinOp::kAnd));
+      return eval_step(e, l, reads_rhs ? eval_const(*b.rhs, lookup) : ConstVal::top());
     }
     default:
       // Calls, indexing, membership, and container literals are never
       // constants here (container stores are weak updates).
       return ConstVal::bottom();
   }
+}
+
+ConstVal eval_step(const lang::Expr& e, const ConstVal& lhs, const ConstVal& rhs) {
+  if (e.kind == lang::ExprKind::kUnary) {
+    if (lhs.is_top()) return lhs;
+    const UnOp op = static_cast<const lang::Unary&>(e).op;
+    if (op == UnOp::kNeg && lhs.kind == ConstVal::Kind::kInt) {
+      return ConstVal::of_int(-lhs.i);
+    }
+    if (op == UnOp::kNot && lhs.kind == ConstVal::Kind::kBool) {
+      return ConstVal::of_bool(!lhs.b);
+    }
+    return ConstVal::bottom();
+  }
+  const BinOp op = static_cast<const lang::Binary&>(e).op;
+  if (op == BinOp::kAnd || op == BinOp::kOr) {
+    // Short-circuit folding only off a Const left side: the right side
+    // may divide by zero at runtime, so it must not be skipped on the
+    // strength of its own constness.
+    if (lhs.kind == ConstVal::Kind::kBool) {
+      if (op == BinOp::kAnd && !lhs.b) return ConstVal::of_bool(false);
+      if (op == BinOp::kOr && lhs.b) return ConstVal::of_bool(true);
+      if (rhs.is_top() || rhs.kind == ConstVal::Kind::kBool) return rhs;
+      return ConstVal::bottom();
+    }
+    return lhs.is_top() ? ConstVal::top() : ConstVal::bottom();
+  }
+  return eval_binary(op, lhs, rhs);
 }
 
 ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env) : cfg_(cfg) {

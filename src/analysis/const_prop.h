@@ -83,6 +83,12 @@ ConstVal eval_const(
     const lang::Expr& e,
     const std::function<ConstVal(const ir::Location&)>& lookup);
 
+/// eval_const's step for a Unary or Binary node `e`: its value from its
+/// operands' values (`rhs` is ignored for a Unary, and for an `and`/`or`
+/// its left side decides). For callers that evaluate bottom-up and
+/// already hold the operands' values.
+ConstVal eval_step(const lang::Expr& e, const ConstVal& lhs, const ConstVal& rhs);
+
 class ConstProp {
  public:
   /// Runs to fixpoint on construction. `entry_env` seeds the entry

@@ -32,9 +32,15 @@ class Sema {
     collect_decls();
     check_no_recursion();
     analyze_globals();
-    // Fixpoint inference (types only move Unknown -> concrete), then a
-    // final pass with checking on.
-    for (int round = 0; round < 8; ++round) analyze_funcs(/*checking=*/false);
+    // Fixpoint inference, then a final pass with checking on. Types only
+    // move Unknown -> concrete, so a round that changes no global, local
+    // or return type saw the same types throughout, and every later
+    // round would repeat it exactly: stop there (8 rounds at most).
+    for (int round = 0; round < 8; ++round) {
+      changed_ = false;
+      analyze_funcs(/*checking=*/false);
+      if (!changed_) break;
+    }
     analyze_funcs(/*checking=*/true);
     return info_;
   }
@@ -269,8 +275,7 @@ class Sema {
         auto& r = static_cast<Return&>(s);
         Type t = Type::kVoid;
         if (r.value) t = infer_expr(*r.value, cur_func_, checking);
-        cur_func_->return_type =
-            join(cur_func_->return_type, t, r.loc, checking);
+        update(cur_func_->return_type, t, r.loc, checking);
         break;
       }
       case StmtKind::kExprStmt:
@@ -282,14 +287,26 @@ class Sema {
     }
   }
 
+  /// Joins `t` into a global, local or return-type slot, noting any
+  /// change for run()'s fixpoint test.
+  void update(Type& slot, Type t, SourceLoc loc, bool checking) {
+    const Type joined = join(slot, t, loc, checking);
+    if (joined != slot) {
+      slot = joined;
+      changed_ = true;
+    }
+  }
+
   void set_local(const std::string& name, Type t, SourceLoc loc, bool checking) {
-    if (info_.globals.count(name)) {
-      info_.globals[name] = join(info_.globals[name], t, loc, checking);
+    if (const auto it = info_.globals.find(name); it != info_.globals.end()) {
+      update(it->second, t, loc, checking);
       if (cur_func_) cur_func_->globals_written.insert(name);
       return;
     }
-    Type& slot = cur_func_->locals[name];  // creates on first assignment
-    slot = join(slot, t, loc, checking);
+    // Creates the local on first assignment. A new Unknown local reads
+    // exactly as an undeclared name does, so only its type counts as a
+    // change.
+    update(cur_func_->locals[name], t, loc, checking);
   }
 
   void infer_assign(Assign& a, bool checking) {
@@ -467,8 +484,8 @@ class Sema {
               // Callbacks receive a packet parameter.
               auto& callee = info_.funcs[name];
               if (!prog_.find_func(name)->params.empty()) {
-                auto& pt = callee.locals[prog_.find_func(name)->params[0]];
-                pt = join(pt, Type::kPacket, arg.loc, checking);
+                update(callee.locals[prog_.find_func(name)->params[0]],
+                       Type::kPacket, arg.loc, checking);
               }
               continue;
             }
@@ -505,8 +522,7 @@ class Sema {
     for (std::size_t i = 0; i < c.args.size(); ++i) {
       const Type at = infer_expr(*c.args[i], cur_func_, checking);
       if (i < callee->params.size()) {
-        auto& pt = ci.locals[callee->params[i]];
-        pt = join(pt, at, c.args[i]->loc, checking);
+        update(ci.locals[callee->params[i]], at, c.args[i]->loc, checking);
       }
     }
     return ci.return_type;
@@ -516,6 +532,7 @@ class Sema {
   SemaInfo info_;
   FuncInfo* cur_func_ = nullptr;
   std::string cur_func_name_;
+  bool changed_ = false;  ///< a type slot changed in the current round
 };
 
 }  // namespace

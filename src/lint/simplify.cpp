@@ -48,74 +48,56 @@ bool is_literal(const lang::Expr& e) {
          e.kind == lang::ExprKind::kStrLit;
 }
 
-/// Replace `e` (or its maximal constant subtrees) with literals under
-/// the node's fixpoint environment. Counts each replacement in *folds.
-lang::ExprPtr fold_expr(const lang::Expr& e, const Lookup& lookup,
-                        int* folds) {
-  const ConstVal v = analysis::eval_const(e, lookup);
-  if (v.is_const() && !is_literal(e)) {
-    ++*folds;
-    return make_literal(v, e.loc);
-  }
-  switch (e.kind) {
-    case lang::ExprKind::kUnary: {
-      const auto& u = static_cast<const lang::Unary&>(e);
-      auto out = std::make_unique<lang::Unary>(
-          u.op, fold_expr(*u.operand, lookup, folds), u.loc);
-      out->type = u.type;
-      return out;
-    }
+/// Replace `e`'s maximal constant subtrees with literals, in place, and
+/// return e's value under the node's fixpoint environment. Each subtree
+/// is evaluated once: a Unary or Binary combines its operands' values
+/// (analysis::eval_step). A folded subtree counts once in *folds, not
+/// once per operand folded on the way up.
+ConstVal fold_expr(lang::ExprPtr& e, const Lookup& lookup, int* folds) {
+  int inner = 0;  // folds below e; dropped when e itself folds
+  const auto fold_all = [&](std::vector<lang::ExprPtr>& xs) {
+    for (auto& x : xs) fold_expr(x, lookup, &inner);
+  };
+  // Calls, indexing and container literals are never constants.
+  ConstVal v = ConstVal::bottom();
+  switch (e->kind) {
+    case lang::ExprKind::kUnary:
+      v = analysis::eval_step(
+          *e, fold_expr(static_cast<lang::Unary&>(*e).operand, lookup, &inner),
+          ConstVal::top());
+      break;
     case lang::ExprKind::kBinary: {
-      const auto& b = static_cast<const lang::Binary&>(e);
-      auto out = std::make_unique<lang::Binary>(
-          b.op, fold_expr(*b.lhs, lookup, folds),
-          fold_expr(*b.rhs, lookup, folds), b.loc);
-      out->type = b.type;
-      return out;
+      auto& b = static_cast<lang::Binary&>(*e);
+      const ConstVal l = fold_expr(b.lhs, lookup, &inner);
+      v = analysis::eval_step(*e, l, fold_expr(b.rhs, lookup, &inner));
+      break;
     }
-    case lang::ExprKind::kCall: {
-      const auto& c = static_cast<const lang::Call&>(e);
-      std::vector<lang::ExprPtr> args;
-      args.reserve(c.args.size());
-      for (const auto& a : c.args) args.push_back(fold_expr(*a, lookup, folds));
-      auto out =
-          std::make_unique<lang::Call>(c.callee, std::move(args), c.loc);
-      out->type = c.type;
-      return out;
-    }
+    case lang::ExprKind::kCall:
+      fold_all(static_cast<lang::Call&>(*e).args);
+      break;
     case lang::ExprKind::kIndex: {
-      const auto& ix = static_cast<const lang::Index&>(e);
-      auto out = std::make_unique<lang::Index>(
-          fold_expr(*ix.base, lookup, folds),
-          fold_expr(*ix.index, lookup, folds), ix.loc);
-      out->type = ix.type;
-      return out;
+      auto& ix = static_cast<lang::Index&>(*e);
+      fold_expr(ix.base, lookup, &inner);
+      fold_expr(ix.index, lookup, &inner);
+      break;
     }
-    case lang::ExprKind::kTupleLit: {
-      const auto& t = static_cast<const lang::TupleLit&>(e);
-      std::vector<lang::ExprPtr> elems;
-      elems.reserve(t.elems.size());
-      for (const auto& x : t.elems) {
-        elems.push_back(fold_expr(*x, lookup, folds));
-      }
-      auto out = std::make_unique<lang::TupleLit>(std::move(elems), t.loc);
-      out->type = t.type;
-      return out;
-    }
-    case lang::ExprKind::kListLit: {
-      const auto& l = static_cast<const lang::ListLit&>(e);
-      std::vector<lang::ExprPtr> elems;
-      elems.reserve(l.elems.size());
-      for (const auto& x : l.elems) {
-        elems.push_back(fold_expr(*x, lookup, folds));
-      }
-      auto out = std::make_unique<lang::ListLit>(std::move(elems), l.loc);
-      out->type = l.type;
-      return out;
-    }
-    default:
-      return e.clone();  // literals, VarRef, FieldRef, MapLit
+    case lang::ExprKind::kTupleLit:
+      fold_all(static_cast<lang::TupleLit&>(*e).elems);
+      break;
+    case lang::ExprKind::kListLit:
+      fold_all(static_cast<lang::ListLit&>(*e).elems);
+      break;
+    default:  // literals, VarRef, FieldRef, MapLit
+      v = analysis::eval_const(*e, lookup);
+      break;
   }
+  if (v.is_const() && !is_literal(*e)) {
+    ++*folds;
+    e = make_literal(v, e->loc);
+  } else {
+    *folds += inner;
+  }
+  return v;
 }
 
 }  // namespace
@@ -213,8 +195,11 @@ SimplifyStats simplify_module(ir::Module& m, const SimplifyOptions& opts) {
     return SimplifyStats{};  // pruning would break the pipeline's anchors
   }
 
-  // 4. Rebuild the CFG: clone kept nodes in old-id order, folding
+  // 4. Rebuild the CFG: move kept nodes over in old-id order, folding
   //    expressions of executable nodes under their fixpoint environments.
+  //    The moved-from slots are never read again: resolve() only walks
+  //    decided branches, which are never kept, and the fixpoint rows
+  //    are indexed by old id.
   const std::size_t old_real = cfg.real_nodes().size();
   std::map<int, int> remap;
   for (const auto& n : cfg.nodes) {
@@ -226,34 +211,25 @@ SimplifyStats simplify_module(ir::Module& m, const SimplifyOptions& opts) {
 
   ir::Cfg out;
   out.nodes.reserve(remap.size());
-  for (const auto& n : cfg.nodes) {
-    if (!keep.count(n->id)) continue;
-    auto c = std::make_unique<ir::Instr>();
-    c->kind = n->kind;
-    c->id = remap.at(n->id);
-    c->loc = n->loc;
-    c->var = n->var;
-    c->field = n->field;
-    c->callee = n->callee;
-
-    const bool fold = cp.node_executable(n->id);
+  for (auto& n : cfg.nodes) {
     const int old_id = n->id;
-    const Lookup lookup = [&cp, old_id](const ir::Location& loc) {
-      return cp.value_in(old_id, loc);
-    };
-    const auto xform = [&](const lang::ExprPtr& e) -> lang::ExprPtr {
-      if (!e) return nullptr;
-      return fold ? fold_expr(*e, lookup, &st.exprs_folded) : e->clone();
-    };
-    c->index = xform(n->index);
-    c->value = xform(n->value);
-    c->aux = xform(n->aux);
-    c->args.reserve(n->args.size());
-    for (const auto& a : n->args) c->args.push_back(xform(a));
-
-    c->succs.reserve(n->succs.size());
-    for (const int s : n->succs) c->succs.push_back(remap.at(resolve(s)));
-    out.nodes.push_back(std::move(c));
+    if (!keep.count(old_id)) continue;
+    if (cp.node_executable(old_id)) {
+      const Lookup lookup = [&cp, old_id](const ir::Location& loc) {
+        return cp.value_in(old_id, loc);
+      };
+      const auto fold = [&](lang::ExprPtr& e) {
+        if (e) fold_expr(e, lookup, &st.exprs_folded);
+      };
+      fold(n->index);
+      fold(n->value);
+      fold(n->aux);
+      for (auto& a : n->args) fold(a);
+    }
+    n->id = remap.at(old_id);
+    for (int& s : n->succs) s = remap.at(resolve(s));
+    n->preds.clear();
+    out.nodes.push_back(std::move(n));
   }
   for (const auto& n : out.nodes) {
     for (const int s : n->succs) {

@@ -104,19 +104,17 @@ ModelProvenance build_model_provenance(const ir::Module& module,
     r.fork_sites.erase(std::unique(r.fork_sites.begin(), r.fork_sites.end()),
                        r.fork_sites.end());
 
-    // Node set -> source lines and rendered statements. Line 0 marks
+    // Node set -> (line, node) statements and source lines. Line 0 marks
     // synthesized instructions (entry/exit, lowering artifacts) — skip.
-    std::vector<std::pair<int, int>> line_nodes;  // (line, node id)
     for (const int id : path.nodes) {
       if (id < 0 || static_cast<std::size_t>(id) >= module.body.size()) continue;
-      const ir::Instr& ins = module.body.node(id);
-      if (ins.loc.line <= 0) continue;
-      line_nodes.emplace_back(ins.loc.line, id);
+      const int line = module.body.node(id).loc.line;
+      if (line > 0) r.statements.emplace_back(line, id);
     }
-    std::sort(line_nodes.begin(), line_nodes.end());
-    for (const auto& [line, id] : line_nodes) {
+    std::sort(r.statements.begin(), r.statements.end());
+    for (const auto& [line, id] : r.statements) {
+      (void)id;
       if (r.lines.empty() || r.lines.back() != line) r.lines.push_back(line);
-      r.statements.emplace_back(line, module.body.node(id).to_string());
     }
     r.intervals = collapse_intervals(r.lines);
 
@@ -205,8 +203,8 @@ std::string to_folded(const ModelProvenance& p) {
     // Statement count per line — the shape weight, and the fallback
     // sample weight when the build carries no timing.
     std::map<int, std::uint64_t> counts;
-    for (const auto& [line, text] : r.statements) {
-      (void)text;
+    for (const auto& [line, id] : r.statements) {
+      (void)id;
       ++counts[line];
     }
     std::uint64_t total_count = 0;
@@ -237,7 +235,7 @@ std::string to_folded(const ModelProvenance& p) {
 
 namespace {
 
-std::string explain_rule(const RuleProvenance& r) {
+std::string explain_rule(const RuleProvenance& r, const ir::Module& module) {
   std::ostringstream os;
   os << "rule " << r.entry << " (" << r.action << (r.truncated ? ", truncated" : "")
      << ")\n";
@@ -271,8 +269,8 @@ std::string explain_rule(const RuleProvenance& r) {
     }
   }
   os << "  statements:\n";
-  for (const auto& [line, text] : r.statements) {
-    os << "    L" << line << ": " << text << "\n";
+  for (const auto& [line, id] : r.statements) {
+    os << "    L" << line << ": " << module.body.node(id).to_string() << "\n";
   }
   return os.str();
 }
@@ -313,7 +311,8 @@ std::string explain_all(const ModelProvenance& p) {
 
 }  // namespace
 
-std::string explain(const ModelProvenance& p, const std::string& query) {
+std::string explain(const ModelProvenance& p, const ir::Module& module,
+                    const std::string& query) {
   if (query.empty() || query == "all") return explain_all(p);
 
   std::string q = query;
@@ -348,7 +347,7 @@ std::string explain(const ModelProvenance& p, const std::string& query) {
     return "explain: rule " + q + " out of range (model has " +
            std::to_string(p.rules.size()) + " rules)\n";
   }
-  return explain_rule(p.rules[static_cast<std::size_t>(n)]);
+  return explain_rule(p.rules[static_cast<std::size_t>(n)], module);
 }
 
 }  // namespace nfactor::obs

@@ -48,9 +48,10 @@ struct RuleProvenance {
   std::vector<int> lines;
   /// `lines` collapsed into closed intervals [lo, hi].
   std::vector<std::pair<int, int>> intervals;
-  /// Rendered statements of the path, (line, text), in line order —
-  /// for --explain output; not part of the JSON export.
-  std::vector<std::pair<int, std::string>> statements;
+  /// Statements of the path with a source line, as (line, CFG node id)
+  /// in (line, node) order. explain() renders their text from the
+  /// module on demand; not part of the JSON export.
+  std::vector<std::pair<int, int>> statements;
   /// Short action label ("drop", "send", "2 sends") for listings.
   std::string action;
   /// Solver feasibility checks charged to this path (schedule-stable,
@@ -115,7 +116,10 @@ std::string to_folded(const ModelProvenance& p);
 /// `query` selects the view: "" lists every rule plus the solver-time
 /// accounting line; an integer selects one rule's detail (statements,
 /// decision key, per-line solver time); "L<n>" or "line:<n>" lists the
-/// rules that executed source line n.
-std::string explain(const ModelProvenance& p, const std::string& query = "");
+/// rules that executed source line n. `module` must be the module `p`
+/// was built from: a rule's statements are rendered from its CFG nodes
+/// only when that rule is printed.
+std::string explain(const ModelProvenance& p, const ir::Module& module,
+                    const std::string& query = "");
 
 }  // namespace nfactor::obs

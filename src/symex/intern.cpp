@@ -121,13 +121,21 @@ std::uint64_t approx_bytes(const SymExpr& n) {
   return b;
 }
 
+/// One interned node. `node` is valid while the entry is in the table:
+/// the node's deleter unlinks the entry under the shard lock before it
+/// frees the node. `ref` promotes a hit to a SymRef, and reads expired
+/// while a dying node waits for that lock.
+struct Entry {
+  const SymExpr* node;
+  std::weak_ptr<const SymExpr> ref;
+};
+
 struct Shard {
   std::mutex mu;
-  // fp -> weak refs to every live node with that fingerprint (almost
-  // always exactly one; collisions land in the same vector and are told
-  // apart by shallow_eq).
-  std::unordered_map<std::uint64_t, std::vector<std::weak_ptr<const SymExpr>>>
-      table;
+  // fp -> every live node with that fingerprint (almost always exactly
+  // one; collisions land in the same vector and are told apart by
+  // shallow_eq). A bucket is erased with its last entry.
+  std::unordered_map<std::uint64_t, std::vector<Entry>> table;
 };
 
 constexpr std::size_t kShards = 16;
@@ -137,12 +145,37 @@ struct Interner {
   std::atomic<std::uint64_t> nodes{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> bytes{0};
+  std::atomic<std::size_t> live{0};  ///< entries in the table
 };
 
 Interner& interner() {
   static auto* i = new Interner();  // leaked: nodes may outlive main()
   return *i;
 }
+
+/// SymRef deleter: unlinks the node from its bucket, then frees it. The
+/// free runs outside the lock, since releasing the node's operands may
+/// unlink them from the same shard.
+struct Unlink {
+  void operator()(const SymExpr* n) const {
+    auto& in = interner();
+    Shard& shard = in.shards[n->fp % kShards];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      const auto it = shard.table.find(n->fp);
+      auto& bucket = it->second;
+      for (std::size_t i = 0; i < bucket.size(); ++i) {
+        if (bucket[i].node != n) continue;
+        bucket[i] = std::move(bucket.back());
+        bucket.pop_back();
+        break;
+      }
+      if (bucket.empty()) shard.table.erase(it);
+      in.live.fetch_sub(1, std::memory_order_relaxed);
+    }
+    delete n;
+  }
+};
 
 }  // namespace
 
@@ -152,24 +185,20 @@ SymRef intern_node(SymExpr&& n) {
   Shard& shard = in.shards[n.fp % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto& bucket = shard.table[n.fp];
-  for (std::size_t i = 0; i < bucket.size();) {
-    SymRef existing = bucket[i].lock();
-    if (!existing) {
-      // Opportunistic prune: the node died with its last SymRef.
-      bucket[i] = std::move(bucket.back());
-      bucket.pop_back();
-      continue;
-    }
-    if (shallow_eq(*existing, n)) {
+  for (const Entry& e : bucket) {
+    if (!shallow_eq(*e.node, n)) continue;
+    if (SymRef existing = e.ref.lock()) {
       in.hits.fetch_add(1, std::memory_order_relaxed);
       return existing;
     }
-    ++i;
+    // Dying: its deleter waits for this lock. Intern a fresh node.
   }
   in.nodes.fetch_add(1, std::memory_order_relaxed);
   in.bytes.fetch_add(approx_bytes(n), std::memory_order_relaxed);
-  auto fresh = std::make_shared<const SymExpr>(std::move(n));
-  bucket.push_back(fresh);
+  in.live.fetch_add(1, std::memory_order_relaxed);
+  const auto* node = new SymExpr(std::move(n));
+  SymRef fresh(node, Unlink{});
+  bucket.push_back(Entry{node, fresh});
   return fresh;
 }
 
@@ -179,19 +208,10 @@ InternStats intern_stats() {
   s.nodes = in.nodes.load(std::memory_order_relaxed);
   s.hits = in.hits.load(std::memory_order_relaxed);
   s.bytes = in.bytes.load(std::memory_order_relaxed);
+  s.live = in.live.load(std::memory_order_relaxed);
   for (auto& shard : in.shards) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [fp, bucket] : shard.table) {
-      (void)fp;
-      std::size_t alive = 0;
-      for (const auto& w : bucket) {
-        if (!w.expired()) ++alive;
-      }
-      if (alive > 0) {
-        ++s.buckets;
-        s.live += alive;
-      }
-    }
+    s.buckets += shard.table.size();
   }
   return s;
 }

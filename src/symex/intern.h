@@ -14,9 +14,9 @@
 // map by fingerprint (solver term tables, the solver cache) confirm a
 // hit with pointer/structural equality before trusting it.
 //
-// The table holds weak references: nodes die with their last SymRef, and
-// dead entries are pruned opportunistically, so the interner never pins
-// memory beyond the live expression graph.
+// The table never owns a node: a node dies with its last SymRef, and its
+// deleter unlinks the node's entry (and the bucket, once empty) before
+// freeing it, so the table and its memory track the live expression graph.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,8 @@ struct InternStats {
   std::size_t buckets = 0;  ///< occupied fingerprint buckets
 };
 
-/// Snapshot of the interner counters. `live`/`buckets` sweep the table
-/// under the shard locks — cold-path only (--stats, tests).
+/// Snapshot of the interner counters. `buckets` takes each of the 16
+/// shard locks once; the cost does not grow with the table.
 InternStats intern_stats();
 
 /// One-line occupancy digest for CLI --stats output.

@@ -3,7 +3,8 @@
 // equality (equal keys => equal fingerprints), struct_eq must agree with
 // string-key equality on randomized DAGs, concurrent builders must agree
 // on one canonical node per structure (the TSan target for the sharded
-// table), and the collect_vars/substitute memoization must keep deeply
+// table), dropped nodes must leave the table, and the
+// collect_vars/substitute memoization must keep deeply
 // shared map-store DAGs linear — the pre-memoization recursion walks
 // every path through the DAG and would not finish within the age of the
 // universe on the chains below.
@@ -59,6 +60,30 @@ TEST(Intern, BuilderStatsCountHitsAndNodes) {
   EXPECT_GE(after.live, 1u);
   EXPECT_GE(after.buckets, 1u);
   EXPECT_FALSE(intern_summary().empty());
+}
+
+TEST(Intern, DroppedNodesLeaveTheTable) {
+  // A node's entry (and its bucket, once empty) goes with the node's
+  // last SymRef, so the table tracks the live graph, not every node
+  // ever built.
+  constexpr int kExprs = 200000;
+  const InternStats before = intern_stats();
+  {
+    std::vector<SymRef> held;
+    held.reserve(kExprs);
+    const SymRef probe = make_var("intern_drop_probe", VarClass::kPkt);
+    for (int i = 0; i < kExprs; ++i) {
+      held.push_back(make_bin(BinOp::kAdd, probe, make_int(1000000000 + i)));
+    }
+    const InternStats built = intern_stats();
+    // Each sum holds its int leaf: two live nodes per expression.
+    EXPECT_GE(built.live, before.live + 2 * kExprs);
+    EXPECT_GE(built.buckets, before.buckets + 2 * kExprs);
+  }
+  const InternStats after = intern_stats();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.buckets, before.buckets);
+  EXPECT_GE(after.nodes, before.nodes + 2 * kExprs);
 }
 
 /// Random expression over a small pool of variables (one fixed class per
@@ -159,6 +184,39 @@ TEST(Intern, ConcurrentBuildersAgreeOnCanonicalNodes) {
       ASSERT_EQ(a.get(), b.get()) << "thread " << t << " expr " << i;
     }
   }
+}
+
+TEST(Intern, ConcurrentChurnKeepsOneNodePerStructure) {
+  // 4 threads build and drop the same few structures, so nodes die
+  // while other threads look them up: a lookup that meets a dying node
+  // must intern a fresh one, and two refs held at once must still agree.
+  // Under TSan this is the race check for the unlinking deleter.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5000;
+  const InternStats before = intern_stats();
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mismatches, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const auto build = [i] {
+          return make_bin(BinOp::kMul, make_var("intern_churn_probe", VarClass::kPkt),
+                          make_int(i % 8));
+        };
+        const SymRef a = build();
+        const SymRef b = build();
+        if (a.get() != b.get()) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  const InternStats after = intern_stats();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.buckets, before.buckets);
 }
 
 /// Deep map-store chain where every level re-references the previous

@@ -77,6 +77,41 @@ TEST(Sema, ReturnTypeConflictsRejected) {
                SemaError);
 }
 
+// Functions are analyzed in declaration order, so a call chain declared
+// callee-first learns one link per round: e's parameter is int only
+// after round 4, and the return types only after round 5.
+constexpr const char* kLateChain =
+    "def e(x) { return x; }\n"
+    "def d(x) { return e(x); }\n"
+    "def c(x) { return d(x); }\n"
+    "def b(x) { return c(x); }\n";
+
+TEST(Sema, CallChainTypesSettleAfterSeveralRounds) {
+  const auto info = check(std::string(kLateChain) + "def a() { return b(1); }\n");
+  for (const char* f : {"b", "c", "d", "e"}) {
+    EXPECT_EQ(info.funcs.at(f).locals.at("x"), Type::kInt) << f;
+  }
+  for (const char* f : {"a", "b", "c", "d", "e"}) {
+    EXPECT_EQ(info.funcs.at(f).return_type, Type::kInt) << f;
+  }
+}
+
+TEST(Sema, MismatchSeenOnlyByCheckingRoundIsRaised) {
+  // b(1) is int only once the chain settles, and only the checking round
+  // compares it against `if`'s bool.
+  const std::string src = std::string(kLateChain) +
+                          "def a() {\n"
+                          "  if (b(1)) { }\n"
+                          "}\n";
+  try {
+    check(src);
+    FAIL() << "expected a SemaError";
+  } catch (const SemaError& err) {
+    EXPECT_EQ(err.diag().message, "if condition must be bool, got int");
+    EXPECT_EQ(err.diag().loc.line, 6);
+  }
+}
+
 TEST(Sema, ConditionMustBeBool) {
   EXPECT_THROW(check("def f() { if (1) { } }"), SemaError);
   EXPECT_THROW(check("def f() { while (2 + 3) { } }"), SemaError);

@@ -255,24 +255,52 @@ TEST(Provenance, ExplainListsEveryRuleAndAnswersQueries) {
   const auto r = run_corpus_nf("snort_lite", 1);
   const obs::ModelProvenance& p = r.provenance;
 
-  const std::string all = obs::explain(p);
+  const std::string all = obs::explain(p, *r.module);
   for (std::size_t i = 0; i < p.rules.size(); ++i) {
     EXPECT_NE(all.find("rule " + std::to_string(i) + ":"), std::string::npos);
   }
   EXPECT_NE(all.find("solver accounting:"), std::string::npos);
 
-  const std::string one = obs::explain(p, "0");
+  const std::string one = obs::explain(p, *r.module, "0");
   EXPECT_NE(one.find("rule 0"), std::string::npos);
   EXPECT_NE(one.find("statements:"), std::string::npos);
   EXPECT_NE(one.find("decision key:"), std::string::npos);
 
   ASSERT_FALSE(p.rules[0].lines.empty());
   const std::string by_line =
-      obs::explain(p, "L" + std::to_string(p.rules[0].lines[0]));
+      obs::explain(p, *r.module, "L" + std::to_string(p.rules[0].lines[0]));
   EXPECT_NE(by_line.find("rule 0"), std::string::npos);
 
-  EXPECT_NE(obs::explain(p, "99999").find("out of range"), std::string::npos);
-  EXPECT_NE(obs::explain(p, "bogus").find("unknown query"), std::string::npos);
+  EXPECT_NE(obs::explain(p, *r.module, "99999").find("out of range"), std::string::npos);
+  EXPECT_NE(obs::explain(p, *r.module, "bogus").find("unknown query"), std::string::npos);
+}
+
+// For every rule of every corpus NF, explain's statements block lists
+// Instr::to_string() of the path's nodes that carry a source line, in
+// (line, node) order.
+TEST(Provenance, ExplainStatementsMatchThePathNodes) {
+  for (const auto& e : nfs::corpus()) {
+    const std::string name(e.name);
+    const auto r = run_corpus_nf(name, 1);
+    ASSERT_EQ(r.provenance.rules.size(), r.slice_paths.size()) << name;
+    for (std::size_t i = 0; i < r.slice_paths.size(); ++i) {
+      std::vector<std::pair<int, int>> line_nodes;
+      for (const int id : r.slice_paths[i].nodes) {
+        const int line = r.module->body.node(id).loc.line;
+        if (line > 0) line_nodes.emplace_back(line, id);
+      }
+      std::sort(line_nodes.begin(), line_nodes.end());
+      std::string expected = "  statements:\n";
+      for (const auto& [line, id] : line_nodes) {
+        expected += "    L" + std::to_string(line) + ": " +
+                    r.module->body.node(id).to_string() + "\n";
+      }
+      const std::string out = obs::explain(r.provenance, *r.module, std::to_string(i));
+      const std::size_t at = out.find("  statements:\n");
+      ASSERT_NE(at, std::string::npos) << name << " rule " << i;
+      EXPECT_EQ(out.substr(at), expected) << name << " rule " << i;
+    }
+  }
 }
 
 }  // namespace
