@@ -1,6 +1,10 @@
 // Static slicing (PDG backward closure) and dynamic slicing.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "analysis/dynamic_slice.h"
 #include "analysis/pdg.h"
 #include "nfactor/pipeline.h"
@@ -133,6 +137,120 @@ INSTANTIATE_TEST_SUITE_P(Corpus, SliceClosure,
                                            "nat", "firewall", "monitor",
                                            "l2_switch", "dpi", "heavy_hitter",
                                            "synflood"));
+
+// ---------------------------------------------------------------------------
+// Multi-criterion slices, pinned slice sizes at scale, and the transitive
+// output-impacting closure
+// ---------------------------------------------------------------------------
+
+std::string fuzz_fixture(const std::string& file) {
+  std::ifstream in(std::string(NFACTOR_SOURCE_DIR) + "/tests/fixtures/fuzz/" +
+                   file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// backward_slice(set) must equal the union of the single-criterion
+/// slices, whatever the criteria: every send, every state update, every
+/// node.
+void expect_set_slice_is_union(const pipeline::PipelineResult& r) {
+  const ir::Cfg& body = r.module->body;
+  std::set<int> sends, updates, all;
+  for (const auto& n : body.nodes) {
+    all.insert(n->id);
+    if (n->kind == ir::InstrKind::kSend) sends.insert(n->id);
+    for (const auto& d : n->defs()) {
+      std::string base;
+      if (!ir::split_field_loc(d, &base, nullptr)) base = d;
+      if (r.module->persistent.count(base)) updates.insert(n->id);
+    }
+  }
+  for (const std::set<int>* criteria : {&sends, &updates, &all}) {
+    std::set<int> expected;
+    for (const int c : *criteria) {
+      const auto s = r.pdg->backward_slice(c);
+      expected.insert(s.begin(), s.end());
+    }
+    EXPECT_EQ(r.pdg->backward_slice(*criteria), expected)
+        << criteria->size() << " criteria";
+  }
+}
+
+TEST(MultiCriterionSlice, EqualsUnionOfSingleSlicesOnCorpus) {
+  for (const char* nf : {"lb", "balance", "snort_lite", "nat", "firewall",
+                         "monitor", "l2_switch", "dpi", "heavy_hitter",
+                         "synflood"}) {
+    SCOPED_TRACE(nf);
+    expect_set_slice_is_union(pipeline::run_source(nfs::find(nf).source, nf));
+  }
+}
+
+TEST(MultiCriterionSlice, EqualsUnionOfSingleSlicesOnFuzzFixtures) {
+  int seen = 0;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::string(NFACTOR_SOURCE_DIR) + "/tests/fixtures/fuzz")) {
+    if (e.path().extension() != ".nf") continue;
+    const std::string file = e.path().filename().string();
+    SCOPED_TRACE(file);
+    expect_set_slice_is_union(pipeline::run_source(fuzz_fixture(file), file));
+    ++seen;
+  }
+  EXPECT_EQ(seen, 4);
+}
+
+struct SliceSizes {
+  std::size_t pkt, state, uni, pkt_vars, cfg_vars, ois_vars, log_vars;
+};
+
+SliceSizes sizes_of(const pipeline::PipelineResult& r) {
+  return {r.pkt_slice.size(),     r.state_slice.size(),
+          r.union_slice.size(),   r.cats.pkt_vars.size(),
+          r.cats.cfg_vars.size(), r.cats.ois_vars.size(),
+          r.cats.log_vars.size()};
+}
+
+void expect_sizes(const SliceSizes& got, const SliceSizes& want) {
+  EXPECT_EQ(got.pkt, want.pkt);
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.uni, want.uni);
+  EXPECT_EQ(got.pkt_vars, want.pkt_vars);
+  EXPECT_EQ(got.cfg_vars, want.cfg_vars);
+  EXPECT_EQ(got.ois_vars, want.ois_vars);
+  EXPECT_EQ(got.log_vars, want.log_vars);
+}
+
+// The counters c<i> only feed themselves, so they are logVars and stay
+// out of every slice; the recv, the dport rules and the send make up the
+// packet slice, and with no oisVar the state slice is empty.
+TEST(SliceScaling, GeneratedNf100) {
+  expect_sizes(
+      sizes_of(pipeline::run_source(testutil::generated_nf(100), "gen100")),
+      {12, 0, 12, 1, 1, 0, 100});
+}
+
+TEST(SliceScaling, GeneratedNf400) {
+  expect_sizes(
+      sizes_of(pipeline::run_source(testutil::generated_nf(400), "gen400")),
+      {42, 0, 42, 1, 1, 0, 400});
+}
+
+// repro_transitive_ois.nf: m1 reaches a send only across packets, through
+// st1. The closure over state updates must still make it an oisVar.
+TEST(SliceScaling, LoopCarriedMapIsOisVar) {
+  const auto r = pipeline::run_source(
+      fuzz_fixture("repro_transitive_ois.nf"), "repro_transitive_ois");
+  EXPECT_TRUE(r.cats.is_ois("m1"));
+  EXPECT_TRUE(r.cats.is_ois("st1"));
+  bool m1_store_in_state_slice = false;
+  for (const int id : r.state_slice) {
+    const auto& n = r.module->body.node(id);
+    if (n.kind == ir::InstrKind::kIndexStore && n.var == "m1") {
+      m1_store_in_state_slice = true;
+    }
+  }
+  EXPECT_TRUE(m1_store_in_state_slice);
+}
 
 // ---------------------------------------------------------------------------
 // Dynamic slicing
