@@ -187,8 +187,17 @@ nfactor::pipeline::PipelineOptions cli_options(int jobs, bool no_simplify) {
   return opts;
 }
 
-void print_se_stats(const char* label, const nfactor::symex::ExecStats& s) {
-  std::printf("%s: %s\n", label, s.to_string().c_str());
+/// With more than one SE worker, which worker first builds an expression
+/// or first asks the solver about a condition decides whether a later
+/// request counts as a hit, so solver-cache hits and the interner's node,
+/// hit and byte tallies follow the thread schedule. --stats prints them
+/// only for a serial run, so that its output repeats run to run.
+void print_se_stats(const char* label, nfactor::symex::ExecStats s,
+                    bool serial) {
+  const bool cached = s.cache_hits + s.cache_misses > 0;
+  if (!serial) s.cache_hits = s.cache_misses = 0;
+  std::printf("%s: %s%s\n", label, s.to_string().c_str(),
+              !serial && cached ? " cache=omitted" : "");
 }
 
 /// --lint / --lint-json: run the diagnostics engine instead of the
@@ -378,9 +387,16 @@ int main(int argc, char** argv) {
                   r.times.total_ms);
       std::printf("simplify: %s%s\n", r.simplify_stats.to_string().c_str(),
                   no_simplify ? " (disabled by --no-simplify)" : "");
-      print_se_stats("SE(slice)", r.slice_stats);
-      print_se_stats("SE(orig) ", r.orig_stats);
-      std::printf("intern: %s\n", symex::intern_summary().c_str());
+      const bool serial = r.slice_stats.jobs <= 1 && r.orig_stats.jobs <= 1;
+      print_se_stats("SE(slice)", r.slice_stats, serial);
+      print_se_stats("SE(orig) ", r.orig_stats, serial);
+      if (serial) {
+        std::printf("intern: %s\n", symex::intern_summary().c_str());
+      } else {
+        std::printf("intern: omitted: with more than one worker the "
+                    "interner and solver-cache tallies follow the thread "
+                    "schedule (--jobs 1 prints them)\n");
+      }
     } else {
       return nfcli::unknown_flag(mode, usage);
     }

@@ -1,7 +1,7 @@
-// Small dense bitset for dataflow fixpoints (std::vector<bool> has the
-// right semantics but poor word-level ops; this keeps union/intersection
-// word-wide, which matters because reaching defs runs in every
-// synthesis, inside perfbench's analysis.slicing_ms).
+// Rows of equal-width bitsets in one flat word array, for dataflow
+// fixpoints: reaching defs keeps one row per CFG node (inside perfbench's
+// analysis.slicing_ms), so a table of rows is one allocation, and
+// unions and copies run a word at a time.
 #pragma once
 
 #include <cstdint>
@@ -9,53 +9,31 @@
 
 namespace nfactor::analysis {
 
-class BitSet {
+class BitRows {
  public:
-  BitSet() = default;
-  explicit BitSet(std::size_t bits)
-      : bits_(bits), words_((bits + 63) / 64, 0) {}
+  BitRows() = default;
+  BitRows(std::size_t rows, std::size_t bits)
+      : words_((bits + 63) / 64), data_(rows * words_, 0) {}
 
-  std::size_t size() const { return bits_; }
-
-  void set(std::size_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
-  void reset(std::size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-  bool test(std::size_t i) const { return words_[i >> 6] >> (i & 63) & 1; }
-
-  /// this |= other; returns true when any bit changed.
-  bool unite(const BitSet& other) {
-    bool changed = false;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      const std::uint64_t before = words_[w];
-      words_[w] |= other.words_[w];
-      changed |= words_[w] != before;
-    }
-    return changed;
+  std::size_t words() const { return words_; }
+  std::uint64_t* row(std::size_t r) { return data_.data() + r * words_; }
+  const std::uint64_t* row(std::size_t r) const {
+    return data_.data() + r * words_;
   }
 
-  /// this &= ~other.
-  void subtract(const BitSet& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] &= ~other.words_[w];
-    }
+  static bool test(const std::uint64_t* row, std::size_t i) {
+    return row[i >> 6] >> (i & 63) & 1;
   }
-
-  bool operator==(const BitSet&) const = default;
-
-  template <typename F>
-  void for_each(F&& f) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        f(w * 64 + static_cast<std::size_t>(bit));
-        word &= word - 1;
-      }
-    }
+  static void set(std::uint64_t* row, std::size_t i) {
+    row[i >> 6] |= 1ULL << (i & 63);
+  }
+  static void reset(std::uint64_t* row, std::size_t i) {
+    row[i >> 6] &= ~(1ULL << (i & 63));
   }
 
  private:
-  std::size_t bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> data_;
 };
 
 }  // namespace nfactor::analysis

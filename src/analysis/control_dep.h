@@ -3,7 +3,6 @@
 // postdominates it) and another can bypass n.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "analysis/dominators.h"
@@ -12,8 +11,9 @@
 namespace nfactor::analysis {
 
 struct ControlDeps {
-  /// deps[n] = branch nodes that n is control-dependent on.
-  std::vector<std::set<int>> deps;
+  /// deps[n] = branch nodes that n is control-dependent on, sorted and
+  /// distinct.
+  std::vector<std::vector<int>> deps;
 };
 
 ControlDeps control_dependence(const ir::Cfg& cfg);

@@ -1,5 +1,6 @@
 #include "analysis/dynamic_slice.h"
 
+#include <algorithm>
 #include <deque>
 
 namespace nfactor::analysis {
@@ -28,7 +29,7 @@ std::set<int> dynamic_slice_events(const Trace& trace, const Pdg& pdg,
     if (!cds.empty()) {
       for (int prior = ev - 1; prior >= 0; --prior) {
         const int pn = trace[static_cast<std::size_t>(prior)].node;
-        if (cds.count(pn)) {
+        if (std::binary_search(cds.begin(), cds.end(), pn)) {
           if (events.insert(prior).second) work.push_back(prior);
           break;
         }

@@ -1,23 +1,17 @@
-// Reaching definitions over the statement CFG. Definitions are
-// (node, location) pairs; scalar assignments kill, container element
-// stores are weak updates (gen without kill), and whole-packet recv kills
-// every field of the packet variable.
+// Reaching definitions over the statement CFG, on the CFG's def/use
+// table. Definitions are (node, location) pairs; scalar assignments kill,
+// container element stores are weak updates (gen without kill), and
+// whole-packet recv kills every field of the packet variable.
 #pragma once
 
-#include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "analysis/bitset.h"
+#include "analysis/def_use.h"
 #include "ir/ir.h"
 
 namespace nfactor::analysis {
-
-struct Def {
-  int node;
-  ir::Location loc;
-};
 
 /// May-alias between a defined location and a used location:
 /// exact match, or whole-variable vs field of the same variable.
@@ -27,26 +21,18 @@ class ReachingDefs {
  public:
   explicit ReachingDefs(const ir::Cfg& cfg);
 
-  const std::vector<Def>& defs() const { return defs_; }
+  const DefUse& def_use() const { return du_; }
 
   /// Definitions reaching the *entry* of `node` that may supply `use_loc`.
   std::set<int> reaching_def_nodes(int node, const ir::Location& use_loc) const;
 
-  /// All def-node predecessors for every use location of `node` —
-  /// the node's data-dependence sources.
-  std::set<int> data_deps(int node) const;
-
-  /// Locations defined before the packet loop ran (treated as coming from
-  /// the virtual entry definition): a use with no reaching def inside the
-  /// CFG reads persistent/initial state.
-  bool has_internal_def(int node, const ir::Location& use_loc) const;
+  /// Def nodes that may supply any location `node` reads — the node's
+  /// data-dependence sources, sorted and distinct.
+  std::vector<int> data_deps(int node) const;
 
  private:
-  const ir::Cfg& cfg_;
-  std::vector<Def> defs_;
-  std::vector<BitSet> in_;   // per node
-  std::vector<BitSet> gen_;
-  std::vector<BitSet> kill_;
+  DefUse du_;
+  BitRows in_;  // per node, over def ids
 };
 
 }  // namespace nfactor::analysis

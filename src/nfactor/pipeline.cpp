@@ -8,15 +8,6 @@
 
 namespace nfactor::pipeline {
 
-namespace {
-
-std::string base_of(const ir::Location& loc) {
-  std::string base;
-  return ir::split_field_loc(loc, &base, nullptr) ? base : loc;
-}
-
-}  // namespace
-
 PipelineResult run(const lang::Program& prog, const PipelineOptions& opts) {
   // Stage timing *is* span duration: every StageTimes field below is
   // filled from Span::close_ms() of the stage's span, so the recorded
@@ -53,19 +44,8 @@ PipelineResult run(const lang::Program& prog, const PipelineOptions& opts) {
   {
     obs::Span sp(tracer, "pipeline.slice");
     r.pdg = std::make_unique<analysis::Pdg>(r.module->body);
-    r.cats = statealyzer::analyze(*r.module, *r.pdg);
+    r.cats = statealyzer::analyze(*r.module, *r.pdg, &r.state_slice);
     r.pkt_slice = r.cats.pkt_slice;
-
-    std::set<int> ois_updates;
-    for (const auto& n : r.module->body.nodes) {
-      for (const auto& d : n->defs()) {
-        if (r.cats.is_ois(base_of(d))) {
-          ois_updates.insert(n->id);
-          break;
-        }
-      }
-    }
-    r.state_slice = r.pdg->backward_slice(ois_updates);
 
     r.union_slice = r.pkt_slice;
     r.union_slice.insert(r.state_slice.begin(), r.state_slice.end());

@@ -1,19 +1,11 @@
 #include "statealyzer/statealyzer.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/obs.h"
 
 namespace nfactor::statealyzer {
-
-namespace {
-
-std::string base_of(const ir::Location& loc) {
-  std::string base;
-  return ir::split_field_loc(loc, &base, nullptr) ? base : loc;
-}
-
-}  // namespace
 
 std::string to_string(VarCategory c) {
   switch (c) {
@@ -26,38 +18,50 @@ std::string to_string(VarCategory c) {
   return "?";
 }
 
-Result analyze(const ir::Module& m, const analysis::Pdg& pdg) {
+Result analyze(const ir::Module& m, const analysis::Pdg& pdg,
+               std::set<int>* state_slice) {
   OBS_SPAN_VAR(span, "statealyzer.analyze");
   const ir::Cfg& body = m.body;
+  const analysis::DefUse& du = pdg.def_use();
   Result r;
 
   // ---- Packet-processing slice: backward from every send (Alg.1 l.1-4).
-  std::set<int> send_nodes;
+  analysis::BackwardClosure pkt_closure(pdg);
   for (const auto& n : body.nodes) {
-    if (n->kind == ir::InstrKind::kSend) send_nodes.insert(n->id);
+    if (n->kind == ir::InstrKind::kSend) pkt_closure.add(n->id);
   }
-  r.pkt_slice = pdg.backward_slice(send_nodes);
+  r.pkt_slice = pkt_closure.finish();
 
-  // ---- Variable universe and body-level features.
-  auto& feats = r.features;
-  auto touch = [&](const std::string& v) -> VarFeatures& { return feats[v]; };
+  // ---- Body-level features, per variable id of the def/use table.
+  // Globals and persistent variables the body never touches keep their
+  // features by name.
+  std::vector<VarFeatures> feats(static_cast<std::size_t>(du.num_vars()));
+  auto persistent = [&](const std::string& v) {
+    const int id = du.find_var(v);
+    (id < 0 ? r.features[v] : feats[static_cast<std::size_t>(id)])
+        .persistent = true;
+  };
+  for (const auto& g : m.globals) persistent(g.name);
+  for (const auto& v : m.persistent) persistent(v);
 
-  for (const auto& g : m.globals) touch(g.name).persistent = true;
-  for (const auto& v : m.persistent) touch(v).persistent = true;
-
+  auto var_feats = [&](int loc) -> VarFeatures& {
+    return feats[static_cast<std::size_t>(du.var_of(loc))];
+  };
   for (const auto& n : body.nodes) {
-    for (const auto& u : n->uses()) touch(base_of(u)).top_level = true;
-    for (const auto& d : n->defs()) {
-      VarFeatures& f = touch(base_of(d));
+    for (const int u : du.uses(n->id)) var_feats(u).top_level = true;
+    for (int d = du.first_def(n->id); d < du.last_def(n->id); ++d) {
+      VarFeatures& f = var_feats(du.def(d).loc);
       f.top_level = true;
       f.updateable = true;
     }
   }
 
-  // ---- Packet variables: recv targets plus whole-packet aliases.
-  std::set<std::string> pkt;
+  // ---- Packet variables: recv targets plus whole-packet aliases. An
+  // alias assignment `q = p` reads exactly p and writes q.
   for (const auto& n : body.nodes) {
-    if (n->kind == ir::InstrKind::kRecv) pkt.insert(n->var);
+    if (n->kind == ir::InstrKind::kRecv) {
+      var_feats(du.def(du.first_def(n->id)).loc).is_packet = true;
+    }
   }
   bool grew = true;
   while (grew) {
@@ -65,85 +69,92 @@ Result analyze(const ir::Module& m, const analysis::Pdg& pdg) {
     for (const auto& n : body.nodes) {
       if (n->kind != ir::InstrKind::kAssign) continue;
       if (n->value->kind != lang::ExprKind::kVarRef) continue;
-      const auto& src = static_cast<const lang::VarRef&>(*n->value).name;
-      if (pkt.count(src) && pkt.insert(n->var).second) grew = true;
+      if (!var_feats(du.uses(n->id)[0]).is_packet) continue;
+      VarFeatures& dst = var_feats(du.def(du.first_def(n->id)).loc);
+      if (!dst.is_packet) {
+        dst.is_packet = true;
+        grew = true;
+      }
     }
   }
-  for (const auto& v : pkt) touch(v).is_packet = true;
 
-  // ---- Output-impacting: appears in the packet slice.
-  for (const int id : r.pkt_slice) {
-    const ir::Instr& n = body.node(id);
-    for (const auto& u : n.uses()) touch(base_of(u)).output_impacting = true;
-    for (const auto& d : n.defs()) touch(base_of(d)).output_impacting = true;
+  // ---- Output-impacting: appears in the packet slice, or — transitively
+  // over loop-carried state flow — in the backward slice of an update of
+  // output-impacting state. The per-packet slice sees one iteration, so a
+  // persistent var that only feeds an output-impacting var *across*
+  // packets (st = f(m[...]) this packet, `st` gates a send on the next)
+  // is invisible to it — yet the model's match conditions will mention
+  // it, so the model must also maintain it. Found by differential fuzzing
+  // (tests/fixtures/fuzz/repro_transitive_ois.nf): a map written this
+  // packet and read into a send-gating scalar was classified logVar,
+  // leaving the synthesized model matching on state it never updated.
+  //
+  // One closure grows to the fixed point: a variable that becomes
+  // output-impacting and is oisVar state (persistent, updateable, not a
+  // packet, not a lowering temporary) adds its defs as criteria, and
+  // every node the closure reaches marks its variables. The finished
+  // closure is the state-transition slice.
+  std::vector<char> is_state(feats.size(), 0);
+  for (std::size_t v = 0; v < feats.size(); ++v) {
+    const VarFeatures& f = feats[v];
+    is_state[v] = f.persistent && f.updateable && !f.is_packet &&
+                  !du.var_name(static_cast<int>(v)).starts_with("__t");
   }
+  analysis::BackwardClosure state_closure(pdg);
+  auto mark = [&](int loc) {
+    const auto v = static_cast<std::size_t>(du.var_of(loc));
+    if (feats[v].output_impacting) return;
+    feats[v].output_impacting = true;
+    if (!is_state[v]) return;
+    for (const int d : du.defs_of_var(static_cast<int>(v))) {
+      state_closure.add(du.def(d).node);
+    }
+  };
+  auto mark_node = [&](int id) {
+    for (const int u : du.uses(id)) mark(u);
+    for (int d = du.first_def(id); d < du.last_def(id); ++d) {
+      mark(du.def(d).loc);
+    }
+  };
+  for (const int id : r.pkt_slice) mark_node(id);
+  for (int id; (id = state_closure.next()) >= 0;) mark_node(id);
+  std::set<int> state = state_closure.finish();
+  if (state_slice != nullptr) *state_slice = std::move(state);
 
-  // ---- Transitive closure over loop-carried state flow. The per-packet
-  // slice sees one iteration, so a persistent var that only feeds an
-  // output-impacting var *across* packets (st = f(m[...]) this packet,
-  // `st` gates a send on the next) is invisible to it — yet the model's
-  // match conditions will mention it, so the model must also maintain
-  // it. Found by differential fuzzing (tests/fixtures/fuzz/
-  // repro_transitive_ois.nf): a map written this packet and read into a
-  // send-gating scalar was classified logVar, leaving the synthesized
-  // model matching on state it never updated. Fix: anything in the
-  // backward slice of an update of output-impacting persistent state is
-  // output-impacting too, to a fixed point.
-  bool closure_grew = true;
-  while (closure_grew) {
-    closure_grew = false;
-    std::set<int> ois_updates;
-    for (const auto& n : body.nodes) {
-      for (const auto& d : n->defs()) {
-        const VarFeatures& f = touch(base_of(d));
-        if (f.persistent && f.updateable && f.output_impacting &&
-            !f.is_packet) {
-          ois_updates.insert(n->id);
-          break;
-        }
-      }
-    }
-    for (const int id : pdg.backward_slice(ois_updates)) {
-      const ir::Instr& n = body.node(id);
-      for (const auto& u : n.uses()) {
-        VarFeatures& f = touch(base_of(u));
-        if (!f.output_impacting) {
-          f.output_impacting = true;
-          closure_grew = true;
-        }
-      }
-      for (const auto& d : n.defs()) {
-        VarFeatures& f = touch(base_of(d));
-        if (!f.output_impacting) {
-          f.output_impacting = true;
-          closure_grew = true;
-        }
-      }
-    }
+  // ---- Names once, in name order, so every map and set below is
+  // appended at its end.
+  std::vector<int> by_name(feats.size());
+  for (std::size_t v = 0; v < feats.size(); ++v) by_name[v] = static_cast<int>(v);
+  std::sort(by_name.begin(), by_name.end(), [&](int a, int b) {
+    return du.var_name(a) < du.var_name(b);
+  });
+  for (const int v : by_name) {
+    r.features.emplace_hint(r.features.end(), du.var_name(v),
+                            feats[static_cast<std::size_t>(v)]);
   }
 
   // ---- Categorize (Table 1).
-  for (auto& [name, f] : feats) {
+  for (const auto& [name, f] : r.features) {
+    VarCategory c = VarCategory::kLocal;
+    std::set<std::string>* vars = nullptr;
     if (name.starts_with("__t")) {
-      r.category[name] = VarCategory::kLocal;  // lowering temporaries
-      continue;
-    }
-    if (f.is_packet) {
-      r.category[name] = VarCategory::kPkt;
-      r.pkt_vars.insert(name);
+      // lowering temporaries
+    } else if (f.is_packet) {
+      c = VarCategory::kPkt;
+      vars = &r.pkt_vars;
     } else if (f.persistent && f.top_level && !f.updateable) {
-      r.category[name] = VarCategory::kConfig;
-      r.cfg_vars.insert(name);
+      c = VarCategory::kConfig;
+      vars = &r.cfg_vars;
     } else if (f.persistent && f.top_level && f.updateable &&
                f.output_impacting) {
-      r.category[name] = VarCategory::kOis;
-      r.ois_vars.insert(name);
+      c = VarCategory::kOis;
+      vars = &r.ois_vars;
     } else if (f.persistent && f.top_level && f.updateable) {
-      r.category[name] = VarCategory::kLog;
-      r.log_vars.insert(name);
-    } else {
-      r.category[name] = VarCategory::kLocal;
+      c = VarCategory::kLog;
+      vars = &r.log_vars;
     }
+    r.category.emplace_hint(r.category.end(), name, c);
+    if (vars != nullptr) vars->insert(vars->end(), name);
   }
 
   OBS_GAUGE("statealyzer.ois_vars", r.ois_vars.size());

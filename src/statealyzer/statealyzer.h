@@ -65,7 +65,10 @@ struct Result {
 };
 
 /// Run the categorization over a lowered module. `pdg` must be built on
-/// `m.body`.
-Result analyze(const ir::Module& m, const analysis::Pdg& pdg);
+/// `m.body`. When `state_slice` is given it receives the state-transition
+/// slice (Algorithm 1, lines 6-9): the backward closure of every oisVar
+/// update, which is the closure that decided output impact.
+Result analyze(const ir::Module& m, const analysis::Pdg& pdg,
+               std::set<int>* state_slice = nullptr);
 
 }  // namespace nfactor::statealyzer
