@@ -5,7 +5,7 @@
 // A location is a whole variable ("rr_idx") or a field of one
 // ("pkt.ip_src"); each gets a location id mapped to (variable id,
 // is-field). Two locations alias when they are the same id, or the same
-// variable with exactly one side a field — ir-level `locations_alias`
+// variable with exactly one side a field — `locations_alias`
 // without the string splits. Definitions are numbered in node order, so
 // a node's own defs are one contiguous range, and every variable keeps
 // the list of its defs: a kill or a data-dependence lookup scans only the
