@@ -4,43 +4,15 @@
 
 namespace nfactor::analysis {
 
-using lang::ExprKind;
-
-namespace {
-
-std::size_t name_hash(std::string_view name) {
-  std::size_t h = 14695981039346656037ULL;  // FNV-1a
-  for (const char c : name) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-// The slot holding `name`'s var id, or the empty slot where it belongs.
-std::size_t DefUse::find_slot(std::string_view name) const {
-  const std::size_t mask = var_slots_.size() - 1;
-  for (std::size_t i = name_hash(name) & mask;; i = (i + 1) & mask) {
-    const int v = var_slots_[i];
-    if (v < 0 || var_name(v) == name) return i;
-  }
-}
-
 int DefUse::find_var(std::string_view name) const {
-  return var_slots_[find_slot(name)];
+  const auto it = var_ids_.find(name);
+  return it == var_ids_.end() ? -1 : it->second;
 }
 
 int DefUse::var_id(std::string_view name) {
-  int& s = var_slots_[find_slot(name)];
-  if (s >= 0) return s;
-  s = num_vars();
-  vars_.push_back({name});
-  if (vars_.size() * 2 > var_slots_.size()) {
-    var_slots_.assign(var_slots_.size() * 2, -1);
-    for (int v = 0; v < num_vars(); ++v) var_slots_[find_slot(var_name(v))] = v;
-  }
-  return num_vars() - 1;
+  const auto [it, fresh] = var_ids_.try_emplace(name, num_vars());
+  if (fresh) vars_.push_back({name});
+  return it->second;
 }
 
 int DefUse::whole_loc(std::string_view name) {
@@ -64,74 +36,28 @@ int DefUse::field_loc(std::string_view name, std::string_view field) {
   return first;
 }
 
-// Mirrors ir::collect_uses.
-void DefUse::add_uses(const lang::Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kIntLit:
-    case ExprKind::kBoolLit:
-    case ExprKind::kStrLit:
-    case ExprKind::kMapLit:
-      return;
-    case ExprKind::kVarRef:
-      use_locs_.push_back(
-          whole_loc(static_cast<const lang::VarRef&>(e).name));
-      return;
-    case ExprKind::kUnary:
-      add_uses(*static_cast<const lang::Unary&>(e).operand);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const lang::Binary&>(e);
-      add_uses(*b.lhs);
-      add_uses(*b.rhs);
-      return;
-    }
-    case ExprKind::kCall:
-      for (const auto& a : static_cast<const lang::Call&>(e).args) {
-        add_uses(*a);
-      }
-      return;
-    case ExprKind::kTupleLit:
-      for (const auto& x : static_cast<const lang::TupleLit&>(e).elems) {
-        add_uses(*x);
-      }
-      return;
-    case ExprKind::kListLit:
-      for (const auto& x : static_cast<const lang::ListLit&>(e).elems) {
-        add_uses(*x);
-      }
-      return;
-    case ExprKind::kIndex: {
-      const auto& i = static_cast<const lang::Index&>(e);
-      add_uses(*i.base);
-      add_uses(*i.index);
-      return;
-    }
-    case ExprKind::kField: {
-      const auto& f = static_cast<const lang::FieldRef&>(e);
-      if (f.base->kind == ExprKind::kVarRef) {
-        use_locs_.push_back(field_loc(
-            static_cast<const lang::VarRef&>(*f.base).name, f.field));
-        return;
-      }
-      add_uses(*f.base);
-      return;
-    }
-  }
+int DefUse::loc_id(std::string_view var, std::string_view field) {
+  return field.empty() ? whole_loc(var) : field_loc(var, field);
 }
 
+// A location written twice by one node is one def, strong if either
+// write is (as ir::Instr::is_strong_def answers).
 void DefUse::add_def(int node, int loc, bool strong) {
   for (int d = first_def(node); d < static_cast<int>(defs_.size()); ++d) {
-    if (defs_[static_cast<std::size_t>(d)].loc == loc) return;
+    Def& def = defs_[static_cast<std::size_t>(d)];
+    if (def.loc == loc) {
+      def.strong = def.strong || strong;
+      return;
+    }
   }
   defs_.push_back({node, loc, strong});
 }
 
-// One walk over each node's operands; the per-node reads and writes
-// mirror ir::Instr::uses(), defs() and is_strong_def().
-DefUse::DefUse(const ir::Cfg& cfg) : var_slots_(64, -1) {
-  using ir::InstrKind;
+// One walk over each node's operands through the IR's def/use walkers.
+DefUse::DefUse(const ir::Cfg& cfg) {
   def_begin_.reserve(cfg.size() + 1);
   use_begin_.reserve(cfg.size() + 1);
+  var_ids_.reserve(cfg.size());
   vars_.reserve(cfg.size());
   locs_.reserve(cfg.size());
   defs_.reserve(cfg.size());
@@ -140,47 +66,13 @@ DefUse::DefUse(const ir::Cfg& cfg) : var_slots_(64, -1) {
     const int id = n->id;
     def_begin_.push_back(static_cast<int>(defs_.size()));
     use_begin_.push_back(static_cast<int>(use_locs_.size()));
-    switch (n->kind) {
-      case InstrKind::kEntry:
-      case InstrKind::kExit:
-        break;
-      case InstrKind::kAssign:
-        add_uses(*n->value);
-        add_def(id, whole_loc(n->var), true);
-        break;
-      case InstrKind::kRecv:
-        if (n->aux) add_uses(*n->aux);
-        add_def(id, whole_loc(n->var), true);
-        break;
-      case InstrKind::kFieldStore:
-        add_uses(*n->value);
-        add_def(id, field_loc(n->var, n->field), true);
-        break;
-      case InstrKind::kIndexStore:
-        add_uses(*n->index);
-        add_uses(*n->value);
-        use_locs_.push_back(whole_loc(n->var));  // weak update reads it
-        add_def(id, whole_loc(n->var), false);
-        break;
-      case InstrKind::kBranch:
-        add_uses(*n->value);
-        break;
-      case InstrKind::kSend:
-        add_uses(*n->value);
-        add_uses(*n->aux);
-        break;
-      case InstrKind::kCall:
-        for (const auto& a : n->args) add_uses(*a);
-        // push/pop mutate their container argument in place.
-        if ((n->callee == "push" || n->callee == "pop") && !n->args.empty() &&
-            n->args[0]->kind == ExprKind::kVarRef) {
-          add_def(id,
-                  whole_loc(static_cast<const lang::VarRef&>(*n->args[0]).name),
-                  false);
-        }
-        if (!n->var.empty()) add_def(id, whole_loc(n->var), false);
-        break;
-    }
+    ir::for_each_use(*n, [&](std::string_view var, std::string_view field) {
+      use_locs_.push_back(loc_id(var, field));
+    });
+    ir::for_each_def(
+        *n, [&](std::string_view var, std::string_view field, bool strong) {
+          add_def(id, loc_id(var, field), strong);
+        });
     const auto first = use_locs_.begin() + use_begin_.back();
     std::sort(first, use_locs_.end());
     use_locs_.erase(std::unique(first, use_locs_.end()), use_locs_.end());

@@ -11,12 +11,17 @@
 // the list of its defs: a kill or a data-dependence lookup scans only the
 // defs of the variable it touches.
 //
+// The table is built from ir::for_each_use/for_each_def, the walkers
+// ir::Instr::uses() and defs() are built on, so static slicing, dynamic
+// slicing and lint read and write the same locations.
+//
 // The table keeps views into the CFG's strings; the CFG must outlive it.
 #pragma once
 
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.h"
@@ -83,10 +88,8 @@ class DefUse {
   int var_id(std::string_view name);
   int whole_loc(std::string_view name);
   int field_loc(std::string_view name, std::string_view field);
-  void add_uses(const lang::Expr& e);
+  int loc_id(std::string_view var, std::string_view field);
   void add_def(int node, int loc, bool strong);
-
-  std::size_t find_slot(std::string_view name) const;
 
   struct Var {
     std::string_view name;
@@ -94,9 +97,7 @@ class DefUse {
     int first_field = -1;  // head of its field locations' list
   };
   std::vector<Var> vars_;
-  // Open-addressing table of var ids: power-of-two size, at most half
-  // full, -1 marks an empty slot.
-  std::vector<int> var_slots_;
+  std::unordered_map<std::string_view, int> var_ids_;
   std::vector<Loc> locs_;
 
   std::vector<Def> defs_;

@@ -7,7 +7,6 @@
 namespace nfactor::ir {
 
 using lang::Expr;
-using lang::ExprKind;
 
 bool split_field_loc(const Location& loc, std::string* base, std::string* field) {
   const auto dot = loc.find('.');
@@ -17,151 +16,61 @@ bool split_field_loc(const Location& loc, std::string* base, std::string* field)
   return true;
 }
 
-void collect_uses(const Expr& e, std::set<Location>& out) {
-  switch (e.kind) {
-    case ExprKind::kIntLit:
-    case ExprKind::kBoolLit:
-    case ExprKind::kStrLit:
-    case ExprKind::kMapLit:
-      return;
-    case ExprKind::kVarRef:
-      out.insert(static_cast<const lang::VarRef&>(e).name);
-      return;
-    case ExprKind::kUnary:
-      collect_uses(*static_cast<const lang::Unary&>(e).operand, out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const lang::Binary&>(e);
-      collect_uses(*b.lhs, out);
-      collect_uses(*b.rhs, out);
-      return;
-    }
-    case ExprKind::kCall: {
-      const auto& c = static_cast<const lang::Call&>(e);
-      for (const auto& a : c.args) collect_uses(*a, out);
-      return;
-    }
-    case ExprKind::kTupleLit: {
-      for (const auto& x : static_cast<const lang::TupleLit&>(e).elems) {
-        collect_uses(*x, out);
-      }
-      return;
-    }
-    case ExprKind::kListLit: {
-      for (const auto& x : static_cast<const lang::ListLit&>(e).elems) {
-        collect_uses(*x, out);
-      }
-      return;
-    }
-    case ExprKind::kIndex: {
-      const auto& i = static_cast<const lang::Index&>(e);
-      collect_uses(*i.base, out);
-      collect_uses(*i.index, out);
-      return;
-    }
-    case ExprKind::kField: {
-      const auto& f = static_cast<const lang::FieldRef&>(e);
-      // pkt.f reads exactly the field location when the base is a plain
-      // variable; otherwise fall back to whatever the base reads.
-      if (f.base->kind == ExprKind::kVarRef) {
-        out.insert(field_loc(static_cast<const lang::VarRef&>(*f.base).name,
-                             f.field));
-        return;
-      }
-      collect_uses(*f.base, out);
-      return;
-    }
+namespace {
+
+Location make_loc(std::string_view var, std::string_view field) {
+  Location loc(var);
+  if (!field.empty()) {
+    loc += '.';
+    loc += field;
   }
+  return loc;
+}
+
+bool names_loc(std::string_view loc, std::string_view var,
+               std::string_view field) {
+  if (field.empty()) return loc == var;
+  return loc.size() == var.size() + 1 + field.size() && loc.starts_with(var) &&
+         loc[var.size()] == '.' && loc.ends_with(field);
+}
+
+}  // namespace
+
+void collect_uses(const Expr& e, std::set<Location>& out) {
+  for_each_use(e, [&](std::string_view var, std::string_view field) {
+    out.insert(make_loc(var, field));
+  });
 }
 
 void collect_var_names(const Expr& e, std::set<std::string>& out) {
-  std::set<Location> locs;
-  collect_uses(e, locs);
-  for (const auto& l : locs) {
-    std::string base;
-    if (split_field_loc(l, &base, nullptr)) {
-      out.insert(base);
-    } else {
-      out.insert(l);
-    }
-  }
+  for_each_use(e, [&](std::string_view var, std::string_view) {
+    out.emplace(var);
+  });
 }
 
 std::set<Location> Instr::uses() const {
   std::set<Location> out;
-  switch (kind) {
-    case InstrKind::kEntry:
-    case InstrKind::kExit:
-      break;
-    case InstrKind::kAssign:
-      collect_uses(*value, out);
-      break;
-    case InstrKind::kFieldStore:
-      collect_uses(*value, out);
-      break;
-    case InstrKind::kIndexStore:
-      collect_uses(*index, out);
-      collect_uses(*value, out);
-      out.insert(var);  // weak update reads the old container
-      break;
-    case InstrKind::kBranch:
-      collect_uses(*value, out);
-      break;
-    case InstrKind::kSend:
-      collect_uses(*value, out);
-      collect_uses(*aux, out);
-      break;
-    case InstrKind::kRecv:
-      if (aux) collect_uses(*aux, out);
-      break;
-    case InstrKind::kCall:
-      for (const auto& a : args) collect_uses(*a, out);
-      if (callee == "pop") {
-        // arg already collected; pop also reads (and writes) the container
-      }
-      break;
-  }
+  for_each_use(*this, [&](std::string_view var, std::string_view field) {
+    out.insert(make_loc(var, field));
+  });
   return out;
 }
 
 std::set<Location> Instr::defs() const {
   std::set<Location> out;
-  switch (kind) {
-    case InstrKind::kAssign:
-    case InstrKind::kRecv:
-      out.insert(var);
-      break;
-    case InstrKind::kFieldStore:
-      out.insert(field_loc(var, field));
-      break;
-    case InstrKind::kIndexStore:
-      out.insert(var);
-      break;
-    case InstrKind::kCall:
-      if (callee == "push" || callee == "pop") {
-        // first argument is the container, mutated in place
-        if (!args.empty() && args[0]->kind == ExprKind::kVarRef) {
-          out.insert(static_cast<const lang::VarRef&>(*args[0]).name);
-        }
-      }
-      if (!var.empty()) out.insert(var);
-      break;
-    default:
-      break;
-  }
+  for_each_def(*this, [&](std::string_view var, std::string_view field, bool) {
+    out.insert(make_loc(var, field));
+  });
   return out;
 }
 
 bool Instr::is_strong_def(const Location& loc) const {
-  switch (kind) {
-    case InstrKind::kAssign:
-    case InstrKind::kRecv:
-      return loc == var;
-    case InstrKind::kFieldStore:
-      return loc == field_loc(var, field);
-    default:
-      return false;  // container updates and call effects are weak
-  }
+  bool strong = false;
+  for_each_def(*this,
+               [&](std::string_view var, std::string_view field, bool s) {
+                 if (s && names_loc(loc, var, field)) strong = true;
+               });
+  return strong;
 }
 
 std::string to_string(InstrKind k) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.h"
@@ -63,12 +64,13 @@ struct Instr {
   std::vector<int> preds;
 
   /// Locations read by this instruction (expression operands, weak-update
-  /// self-uses, container reads).
+  /// self-uses, container reads). Built on for_each_use.
   std::set<Location> uses() const;
 
   /// Locations written. kAssign/kRecv: the variable (strong).
   /// kFieldStore: var.field (strong). kIndexStore: var (weak).
   /// kCall push/pop: the container (weak) and pop's result var.
+  /// Built on for_each_def.
   std::set<Location> defs() const;
 
   /// Whether the write to `loc` is a strong (killing) definition.
@@ -134,6 +136,131 @@ struct Module {
 /// A packet-typed VarRef used as a value (e.g. send(pkt, ...)) reads the
 /// whole packet location plus nothing finer; pkt.f reads only "pkt.f".
 void collect_uses(const lang::Expr& e, std::set<Location>& out);
+
+// ---- The def/use rules, in one place. The walkers below call `f` once
+// per location read or written, naming it as (variable, field) with an
+// empty field for a whole variable, so callers that intern locations
+// (analysis::DefUse) build no strings. uses(), defs(), is_strong_def()
+// and collect_uses() are built on them. A location may be reported more
+// than once.
+
+/// f(var, field) for every location `e` reads.
+template <class F>
+void for_each_use(const lang::Expr& e, F&& f) {
+  using lang::ExprKind;
+  switch (e.kind) {
+    case ExprKind::kIntLit:
+    case ExprKind::kBoolLit:
+    case ExprKind::kStrLit:
+    case ExprKind::kMapLit:
+      return;
+    case ExprKind::kVarRef:
+      f(std::string_view(static_cast<const lang::VarRef&>(e).name),
+        std::string_view());
+      return;
+    case ExprKind::kUnary:
+      for_each_use(*static_cast<const lang::Unary&>(e).operand, f);
+      return;
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const lang::Binary&>(e);
+      for_each_use(*b.lhs, f);
+      for_each_use(*b.rhs, f);
+      return;
+    }
+    case ExprKind::kCall:
+      for (const auto& a : static_cast<const lang::Call&>(e).args) {
+        for_each_use(*a, f);
+      }
+      return;
+    case ExprKind::kTupleLit:
+      for (const auto& x : static_cast<const lang::TupleLit&>(e).elems) {
+        for_each_use(*x, f);
+      }
+      return;
+    case ExprKind::kListLit:
+      for (const auto& x : static_cast<const lang::ListLit&>(e).elems) {
+        for_each_use(*x, f);
+      }
+      return;
+    case ExprKind::kIndex: {
+      const auto& i = static_cast<const lang::Index&>(e);
+      for_each_use(*i.base, f);
+      for_each_use(*i.index, f);
+      return;
+    }
+    case ExprKind::kField: {
+      const auto& fr = static_cast<const lang::FieldRef&>(e);
+      // pkt.f reads exactly the field location when the base is a plain
+      // variable; otherwise fall back to whatever the base reads.
+      if (fr.base->kind == ExprKind::kVarRef) {
+        f(std::string_view(static_cast<const lang::VarRef&>(*fr.base).name),
+          std::string_view(fr.field));
+        return;
+      }
+      for_each_use(*fr.base, f);
+      return;
+    }
+  }
+}
+
+/// f(var, field) for every location instruction `n` reads.
+template <class F>
+void for_each_use(const Instr& n, F&& f) {
+  switch (n.kind) {
+    case InstrKind::kEntry:
+    case InstrKind::kExit:
+      return;
+    case InstrKind::kAssign:
+    case InstrKind::kFieldStore:
+    case InstrKind::kBranch:
+      for_each_use(*n.value, f);
+      return;
+    case InstrKind::kIndexStore:
+      for_each_use(*n.index, f);
+      for_each_use(*n.value, f);
+      f(std::string_view(n.var), std::string_view());  // weak update reads it
+      return;
+    case InstrKind::kSend:
+      for_each_use(*n.value, f);
+      for_each_use(*n.aux, f);
+      return;
+    case InstrKind::kRecv:
+      if (n.aux) for_each_use(*n.aux, f);
+      return;
+    case InstrKind::kCall:
+      for (const auto& a : n.args) for_each_use(*a, f);
+      return;
+  }
+}
+
+/// f(var, field, strong) for every location instruction `n` writes;
+/// `strong` marks a killing write (scalar assign, recv, field store).
+template <class F>
+void for_each_def(const Instr& n, F&& f) {
+  switch (n.kind) {
+    case InstrKind::kAssign:
+    case InstrKind::kRecv:
+      f(std::string_view(n.var), std::string_view(), true);
+      return;
+    case InstrKind::kFieldStore:
+      f(std::string_view(n.var), std::string_view(n.field), true);
+      return;
+    case InstrKind::kIndexStore:
+      f(std::string_view(n.var), std::string_view(), false);
+      return;
+    case InstrKind::kCall:
+      // push/pop mutate their container argument in place.
+      if ((n.callee == "push" || n.callee == "pop") && !n.args.empty() &&
+          n.args[0]->kind == lang::ExprKind::kVarRef) {
+        f(std::string_view(static_cast<const lang::VarRef&>(*n.args[0]).name),
+          std::string_view(), false);
+      }
+      if (!n.var.empty()) f(std::string_view(n.var), std::string_view(), false);
+      return;
+    default:
+      return;
+  }
+}
 
 /// All VarRef names in an expression (coarser than collect_uses).
 void collect_var_names(const lang::Expr& e, std::set<std::string>& out);

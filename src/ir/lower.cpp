@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "lang/builtins.h"
+#include "lang/lexer.h"
 #include "lang/sema.h"
 
 namespace nfactor::ir {
@@ -506,7 +507,9 @@ class Builder {
     }
   }
 
-  std::string fresh_temp() { return "__t" + std::to_string(++temp_counter_); }
+  std::string fresh_temp() {
+    return std::string(lang::kTempPrefix) + std::to_string(++temp_counter_);
+  }
 
   const lang::Program& prog_;
   const lang::SemaInfo& sema_;

@@ -144,6 +144,13 @@ class Lexer {
     }
     const auto& kw = keywords();
     if (const auto it = kw.find(text); it != kw.end()) return make(it->second);
+    // A user name with the temporaries' prefix would be taken for one
+    // (or clash with one).
+    if (is_temporary(text)) {
+      throw LexError(start_, "identifier '" + text + "': the prefix '" +
+                                 std::string(kTempPrefix) +
+                                 "' is reserved for compiler temporaries");
+    }
     Token t = make(Tok::kIdent);
     t.text = std::move(text);
     return t;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "analysis/reaching_defs.h"
+#include "lang/lexer.h"
 
 namespace nfactor::lint {
 
@@ -21,7 +22,7 @@ std::string base_of(const ir::Location& loc) {
 /// (`callee$N$ret`) — their def/use shape is the lowerer's business, not
 /// the NF author's.
 bool compiler_generated(const std::string& var) {
-  if (var.rfind("__t", 0) == 0) return true;
+  if (lang::is_temporary(var)) return true;
   const auto n = var.size();
   return n >= 4 && var.compare(n - 4, 4, "$ret") == 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "lang/lexer.h"
 #include "obs/obs.h"
 
 namespace nfactor::statealyzer {
@@ -93,12 +94,17 @@ Result analyze(const ir::Module& m, const analysis::Pdg& pdg,
   // output-impacting and is oisVar state (persistent, updateable, not a
   // packet, not a lowering temporary) adds its defs as criteria, and
   // every node the closure reaches marks its variables. The finished
-  // closure is the state-transition slice.
+  // closure is the state-transition slice. Temporaries are never state
+  // (init and body lowering each number them from 1, so a body temporary
+  // can share an init temporary's name and look persistent). Leaving
+  // them out adds no node: a temporary's one def is the kCall that lifts
+  // `pop(q)`, and it turns output-impacting only when the closure holds
+  // that kCall or a reader of it, whose reaching def is that kCall.
   std::vector<char> is_state(feats.size(), 0);
   for (std::size_t v = 0; v < feats.size(); ++v) {
     const VarFeatures& f = feats[v];
     is_state[v] = f.persistent && f.updateable && !f.is_packet &&
-                  !du.var_name(static_cast<int>(v)).starts_with("__t");
+                  !lang::is_temporary(du.var_name(static_cast<int>(v)));
   }
   analysis::BackwardClosure state_closure(pdg);
   auto mark = [&](int loc) {
@@ -137,8 +143,8 @@ Result analyze(const ir::Module& m, const analysis::Pdg& pdg,
   for (const auto& [name, f] : r.features) {
     VarCategory c = VarCategory::kLocal;
     std::set<std::string>* vars = nullptr;
-    if (name.starts_with("__t")) {
-      // lowering temporaries
+    if (lang::is_temporary(name)) {
+      // temporaries stay local
     } else if (f.is_packet) {
       c = VarCategory::kPkt;
       vars = &r.pkt_vars;

@@ -5,8 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/def_use.h"
 #include "analysis/dynamic_slice.h"
 #include "analysis/pdg.h"
+#include "fuzz/program_gen.h"
+#include "lang/diagnostics.h"
 #include "nfactor/pipeline.h"
 #include "nfs/corpus.h"
 #include "runtime/interp.h"
@@ -250,6 +253,111 @@ TEST(SliceScaling, LoopCarriedMapIsOisVar) {
     }
   }
   EXPECT_TRUE(m1_store_in_state_slice);
+}
+
+// A global named with a leading underscore pair still seeds the closure:
+// renamed st1, the repro keeps m1 an oisVar. The prefix `__t` belongs to
+// lowering temporaries, which StateAlyzer never treats as state, so the
+// lexer rejects it rather than letting such a global lose m1's category.
+TEST(SliceScaling, UnderscoreNamedGlobalKeepsLoopCarriedMapOis) {
+  const std::string src = fuzz_fixture("repro_transitive_ois.nf");
+  auto renamed = [&](const std::string& name) {
+    std::string out = src;
+    for (std::size_t at; (at = out.find("st1")) != std::string::npos;) {
+      out.replace(at, 3, name);
+    }
+    return out;
+  };
+  const auto r = pipeline::run_source(renamed("__state"), "underscore");
+  EXPECT_TRUE(r.cats.is_ois("m1"));
+  EXPECT_TRUE(r.cats.is_ois("__state"));
+  EXPECT_EQ(r.cats.ois_vars, (std::set<std::string>{"__state", "m1"}));
+  EXPECT_EQ(r.cats.cfg_vars, (std::set<std::string>{"st2"}));
+  EXPECT_TRUE(r.cats.log_vars.empty());
+  EXPECT_THROW(pipeline::run_source(renamed("__tstate"), "reserved"),
+               lang::LexError);
+}
+
+// ---------------------------------------------------------------------------
+// The def/use table names exactly the locations ir::Instr::uses(),
+// defs() and is_strong_def() name; dynamic slicing and lint use those.
+// ---------------------------------------------------------------------------
+
+std::string loc_name(const DefUse& du, int loc) {
+  const DefUse::Loc& l = du.loc(loc);
+  std::string name(du.var_name(l.var));
+  if (l.field) {
+    name += '.';
+    name += l.field_name;
+  }
+  return name;
+}
+
+void expect_table_matches_instrs(const ir::Cfg& cfg) {
+  const DefUse du(cfg);
+  std::size_t listed = 0;
+  for (int v = 0; v < du.num_vars(); ++v) {
+    int prev = -1;
+    for (const int d : du.defs_of_var(v)) {
+      EXPECT_EQ(du.var_of(du.def(d).loc), v);
+      EXPECT_GT(d, prev);
+      prev = d;
+      ++listed;
+    }
+  }
+  EXPECT_EQ(listed, du.num_defs());
+  for (const auto& n : cfg.nodes) {
+    std::set<ir::Location> uses;
+    for (const int u : du.uses(n->id)) uses.insert(loc_name(du, u));
+    std::set<ir::Location> defs;
+    for (int d = du.first_def(n->id); d < du.last_def(n->id); ++d) {
+      const std::string name = loc_name(du, du.def(d).loc);
+      EXPECT_EQ(du.def(d).node, n->id);
+      EXPECT_EQ(du.def(d).strong, n->is_strong_def(name)) << name;
+      defs.insert(name);
+    }
+    EXPECT_EQ(uses, n->uses()) << n->to_string();
+    EXPECT_EQ(du.uses(n->id).size(), uses.size()) << n->to_string();
+    EXPECT_EQ(defs, n->defs()) << n->to_string();
+    EXPECT_EQ(static_cast<std::size_t>(du.last_def(n->id) - du.first_def(n->id)),
+              defs.size())
+        << n->to_string();
+  }
+}
+
+/// Init and body CFGs, with and without simplify.
+void expect_tables_match_instrs(std::string_view source,
+                                const std::string& unit) {
+  SCOPED_TRACE(unit);
+  for (const bool simplify : {false, true}) {
+    pipeline::PipelineOptions opts;
+    opts.simplify.enabled = simplify;
+    const auto r = pipeline::run_source(source, unit, opts);
+    expect_table_matches_instrs(r.module->init);
+    expect_table_matches_instrs(r.module->body);
+  }
+}
+
+TEST(DefUseTable, MatchesInstrUsesAndDefsOnCorpusAndFixtures) {
+  for (const char* nf : {"lb", "balance", "snort_lite", "nat", "firewall",
+                         "monitor", "l2_switch", "dpi", "heavy_hitter",
+                         "synflood"}) {
+    expect_tables_match_instrs(nfs::find(nf).source, nf);
+  }
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::string(NFACTOR_SOURCE_DIR) + "/tests/fixtures/fuzz")) {
+    if (e.path().extension() != ".nf") continue;
+    const std::string file = e.path().filename().string();
+    expect_tables_match_instrs(fuzz_fixture(file), file);
+  }
+}
+
+TEST(DefUseTable, MatchesInstrUsesAndDefsOnGeneratedPrograms) {
+  fuzz::ProgramGen gen(26);
+  for (int i = 0; i < 200; ++i) {
+    const auto prog = gen.generate();
+    expect_tables_match_instrs(prog.source, "gen" + std::to_string(i));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -112,6 +112,15 @@ TEST(Lexer, UnterminatedStringThrows) {
   EXPECT_THROW(lex("\"oops\n\""), LexError);
 }
 
+TEST(Lexer, CompilerTemporaryPrefixIsReserved) {
+  EXPECT_THROW(lex("__t1"), LexError);
+  EXPECT_THROW(lex("x = __tstate;"), LexError);
+  const auto toks = lex("__state _t t__t __payload");
+  ASSERT_EQ(toks.size(), 5u);
+  EXPECT_EQ(toks[0].text, "__state");
+  EXPECT_EQ(toks[3].text, "__payload");
+}
+
 TEST(Lexer, UnknownEscapeThrows) { EXPECT_THROW(lex(R"("\q")"), LexError); }
 
 TEST(Lexer, UnexpectedCharacterThrows) {
