@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "lang/builtins.h"
+#include "lang/int_ops.h"
 #include "obs/obs.h"
 
 namespace nfactor::analysis {
@@ -14,34 +15,6 @@ namespace {
 
 using lang::BinOp;
 using lang::UnOp;
-
-/// Integer folding with the exact semantics of the symbolic folder and
-/// the concrete runtime (Python-style modulo, 64-bit shift masking).
-/// *ok=false on division/modulo by zero or a non-integer operator.
-std::int64_t fold_bin_int(BinOp op, std::int64_t a, std::int64_t b, bool* ok) {
-  *ok = true;
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kDiv:
-      if (b == 0) { *ok = false; return 0; }
-      return a / b;
-    case BinOp::kMod:
-      if (b == 0) { *ok = false; return 0; }
-      return ((a % b) + b) % b;
-    case BinOp::kBitAnd: return a & b;
-    case BinOp::kBitOr: return a | b;
-    case BinOp::kBitXor: return a ^ b;
-    case BinOp::kShl: return a << (b & 63);
-    case BinOp::kShr:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                       (b & 63));
-    default:
-      *ok = false;
-      return 0;
-  }
-}
 
 ConstVal eval_binary(BinOp op, const ConstVal& l, const ConstVal& r) {
   using K = ConstVal::Kind;
@@ -61,16 +34,11 @@ ConstVal eval_binary(BinOp op, const ConstVal& l, const ConstVal& r) {
   }
 
   if (l.kind != K::kInt || r.kind != K::kInt) return ConstVal::bottom();
-  switch (op) {
-    case BinOp::kLt: return ConstVal::of_bool(l.i < r.i);
-    case BinOp::kLe: return ConstVal::of_bool(l.i <= r.i);
-    case BinOp::kGt: return ConstVal::of_bool(l.i > r.i);
-    case BinOp::kGe: return ConstVal::of_bool(l.i >= r.i);
-    default: break;
+  if (const auto v = lang::int_ops::compare(op, l.i, r.i)) {
+    return ConstVal::of_bool(*v);
   }
-  bool ok = false;
-  const std::int64_t v = fold_bin_int(op, l.i, r.i, &ok);
-  return ok ? ConstVal::of_int(v) : ConstVal::bottom();
+  const auto v = lang::int_ops::apply(op, l.i, r.i);
+  return v ? ConstVal::of_int(*v) : ConstVal::bottom();
 }
 
 }  // namespace
@@ -137,7 +105,7 @@ ConstVal eval_step(const lang::Expr& e, const ConstVal& lhs, const ConstVal& rhs
     if (lhs.is_top()) return lhs;
     const UnOp op = static_cast<const lang::Unary&>(e).op;
     if (op == UnOp::kNeg && lhs.kind == ConstVal::Kind::kInt) {
-      return ConstVal::of_int(-lhs.i);
+      return ConstVal::of_int(lang::int_ops::neg(lhs.i));
     }
     if (op == UnOp::kNot && lhs.kind == ConstVal::Kind::kBool) {
       return ConstVal::of_bool(!lhs.b);

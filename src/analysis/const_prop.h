@@ -75,9 +75,9 @@ ConstVal meet(const ConstVal& a, const ConstVal& b);
 using ConstEnv = std::map<ir::Location, ConstVal>;
 
 /// Abstractly evaluate `e` under `lookup`. Matches the concrete runtime
-/// and the symbolic folder exactly where it folds (Python-style modulo,
-/// shift masking); division/modulo by a constant zero yields Bottom so
-/// the runtime's error path is never folded away. `and`/`or` fold via
+/// and the symbolic folder exactly where it folds (all three compute
+/// through lang/int_ops.h); division/modulo by a constant zero yields
+/// Bottom so the runtime's error path is never folded away. `and`/`or` fold via
 /// left-to-right short-circuit only when the left side is Const.
 ConstVal eval_const(
     const lang::Expr& e,

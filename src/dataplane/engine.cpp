@@ -9,12 +9,14 @@
 #include <utility>
 
 #include "dataplane/threaded.h"
+#include "lang/int_ops.h"
 #include "obs/obs.h"
 
 namespace nfactor::dataplane {
 
 namespace {
 
+namespace int_ops = lang::int_ops;
 using runtime::Int;
 using runtime::Value;
 using symex::SymKind;
@@ -749,35 +751,33 @@ runtime::Int DataplaneEngine::run_program(const Program& prog,
                                           const netsim::Packet& in) const {
   Int st[kMaxStackDepth];
   int sp = 0;
+  // Pops the right operand and replaces the left with f(left, right).
+  const auto binary = [&](auto f) {
+    --sp;
+    st[sp - 1] = f(st[sp - 1], st[sp]);
+  };
   for (const Op& op : prog.ops) {
     switch (op.code) {
       case OpCode::kPushConst: st[sp++] = op.imm; break;
       case OpCode::kPushField:
         st[sp++] = read_packet_field(in, static_cast<PacketField>(op.imm));
         break;
-      case OpCode::kEq: --sp; st[sp - 1] = st[sp - 1] == st[sp] ? 1 : 0; break;
-      case OpCode::kNe: --sp; st[sp - 1] = st[sp - 1] != st[sp] ? 1 : 0; break;
-      case OpCode::kLt: --sp; st[sp - 1] = st[sp - 1] < st[sp] ? 1 : 0; break;
-      case OpCode::kLe: --sp; st[sp - 1] = st[sp - 1] <= st[sp] ? 1 : 0; break;
-      case OpCode::kGt: --sp; st[sp - 1] = st[sp - 1] > st[sp] ? 1 : 0; break;
-      case OpCode::kGe: --sp; st[sp - 1] = st[sp - 1] >= st[sp] ? 1 : 0; break;
-      case OpCode::kAdd: --sp; st[sp - 1] += st[sp]; break;
-      case OpCode::kSub: --sp; st[sp - 1] -= st[sp]; break;
-      case OpCode::kMul: --sp; st[sp - 1] *= st[sp]; break;
-      case OpCode::kDiv: --sp; st[sp - 1] /= st[sp]; break;
-      case OpCode::kMod:
-        --sp;
-        st[sp - 1] = ((st[sp - 1] % st[sp]) + st[sp]) % st[sp];
-        break;
-      case OpCode::kBitAnd: --sp; st[sp - 1] &= st[sp]; break;
-      case OpCode::kBitOr: --sp; st[sp - 1] |= st[sp]; break;
-      case OpCode::kBitXor: --sp; st[sp - 1] ^= st[sp]; break;
-      case OpCode::kShl: --sp; st[sp - 1] <<= (st[sp] & 63); break;
-      case OpCode::kShr:
-        --sp;
-        st[sp - 1] = static_cast<Int>(static_cast<std::uint64_t>(st[sp - 1]) >>
-                                      (st[sp] & 63));
-        break;
+      case OpCode::kEq: binary(int_ops::eq); break;
+      case OpCode::kNe: binary(int_ops::ne); break;
+      case OpCode::kLt: binary(int_ops::lt); break;
+      case OpCode::kLe: binary(int_ops::le); break;
+      case OpCode::kGt: binary(int_ops::gt); break;
+      case OpCode::kGe: binary(int_ops::ge); break;
+      case OpCode::kAdd: binary(int_ops::add); break;
+      case OpCode::kSub: binary(int_ops::sub); break;
+      case OpCode::kMul: binary(int_ops::mul); break;
+      case OpCode::kDiv: binary(int_ops::div); break;
+      case OpCode::kMod: binary(int_ops::mod); break;
+      case OpCode::kBitAnd: binary(int_ops::bit_and); break;
+      case OpCode::kBitOr: binary(int_ops::bit_or); break;
+      case OpCode::kBitXor: binary(int_ops::bit_xor); break;
+      case OpCode::kShl: binary(int_ops::shl); break;
+      case OpCode::kShr: binary(int_ops::shr); break;
       case OpCode::kAnd:
         --sp;
         st[sp - 1] = (st[sp - 1] != 0 && st[sp] != 0) ? 1 : 0;
@@ -787,7 +787,7 @@ runtime::Int DataplaneEngine::run_program(const Program& prog,
         st[sp - 1] = (st[sp - 1] != 0 || st[sp] != 0) ? 1 : 0;
         break;
       case OpCode::kNot: st[sp - 1] = st[sp - 1] == 0 ? 1 : 0; break;
-      case OpCode::kNeg: st[sp - 1] = -st[sp - 1]; break;
+      case OpCode::kNeg: st[sp - 1] = int_ops::neg(st[sp - 1]); break;
       case OpCode::kPayloadContains:
         st[sp++] = payload_contains(
                        in.payload,

@@ -1,6 +1,8 @@
 #include "lang/lexer.h"
 
 #include <cctype>
+#include <limits>
+#include <string>
 #include <unordered_map>
 
 #include "lang/diagnostics.h"
@@ -183,6 +185,28 @@ class Lexer {
   }
 
   Token number(char first) {
+    const std::size_t begin = pos_ - 1;
+    // Digits accumulate into `v` until it would pass INT64_MAX; the
+    // literal is then rejected once all of it has been read.
+    bool too_big = false;
+    const auto push_digit = [&](std::int64_t& v, int base, int d) {
+      if (v > (std::numeric_limits<std::int64_t>::max() - d) / base) {
+        too_big = true;
+      } else {
+        v = v * base + d;
+      }
+    };
+    const auto literal = [&](std::int64_t v) {
+      if (too_big) {
+        const std::string text(src_.substr(begin, pos_ - begin));
+        throw LexError(start_, "integer literal '" + text +
+                                   "' does not fit in a 64-bit signed integer");
+      }
+      Token t = make(Tok::kInt);
+      t.value = v;
+      return t;
+    };
+
     // Hex
     if (first == '0' && (peek() == 'x' || peek() == 'X')) {
       advance();
@@ -191,21 +215,19 @@ class Lexer {
       while (std::isxdigit(static_cast<unsigned char>(peek()))) {
         const char d = advance();
         any = true;
-        const int nibble = std::isdigit(static_cast<unsigned char>(d))
-                               ? d - '0'
-                               : std::tolower(d) - 'a' + 10;
-        v = v * 16 + nibble;
+        push_digit(v, 16,
+                   std::isdigit(static_cast<unsigned char>(d))
+                       ? d - '0'
+                       : std::tolower(d) - 'a' + 10);
       }
       if (!any) fail("malformed hex literal");
-      Token t = make(Tok::kInt);
-      t.value = v;
-      return t;
+      return literal(v);
     }
 
     auto read_decimal = [&](char lead) {
       std::int64_t v = lead - '0';
       while (std::isdigit(static_cast<unsigned char>(peek()))) {
-        v = v * 10 + (advance() - '0');
+        push_digit(v, 10, advance() - '0');
       }
       return v;
     };
@@ -223,19 +245,15 @@ class Lexer {
         }
         octets[i] = read_decimal(advance());
       }
+      if (too_big) return literal(0);  // throws, naming the literal
       std::int64_t addr = 0;
       for (const std::int64_t o : octets) {
         if (o > 255) fail("IPv4 octet out of range");
         addr = addr << 8 | o;
       }
-      Token t = make(Tok::kInt);
-      t.value = addr;
-      return t;
+      return literal(addr);
     }
-
-    Token t = make(Tok::kInt);
-    t.value = v;
-    return t;
+    return literal(v);
   }
 
   std::string_view src_;

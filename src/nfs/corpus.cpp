@@ -2,589 +2,38 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 namespace nfactor::nfs {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// lb.nf — the paper's Figure 1 load balancer, callback structure (Fig. 4b).
-// ---------------------------------------------------------------------------
-constexpr std::string_view kLb = R"NF(# Layer-4 load balancer (paper Figure 1), callback structure (Fig. 4b).
-# Constants
-var ROUND_ROBIN = 1;
-var HASH_MODE = 2;
-# Configurations
-var mode = 1;
-var LB_IFACE = 0;
-var LB_IP = 3.3.3.3;
-var LB_PORT = 80;
-var servers = [(1.1.1.1, 80), (2.2.2.2, 80)];
-# Output-impacting states
-var f2b_nat = {};
-var b2f_nat = {};
-var rr_idx = 0;
-var cur_port = 10000;
-# Log states
-var pass_stat = 0;
-var drop_stat = 0;
+/// nfs/*.nf by file name, embedded at build time (src/nfs/CMakeLists.txt).
+constexpr std::pair<std::string_view, std::string_view> kSources[] = {
+#include "corpus_sources.inc"
+};
 
-def pkt_callback(pkt) {
-  si = pkt.ip_src;
-  di = pkt.ip_dst;
-  sp = pkt.sport;
-  dp = pkt.dport;
-  if (dp == LB_PORT) {
-    # packet from client to server
-    cs_ftpl = (si, sp, di, dp);
-    sc_ftpl = (di, dp, si, sp);
-    if (!(cs_ftpl in f2b_nat)) {
-      # new connection
-      if (mode == ROUND_ROBIN) {
-        server = servers[rr_idx];
-        rr_idx = (rr_idx + 1) % len(servers);
-      } else {
-        # hash to a backend server
-        server = servers[hash(si) % len(servers)];
-      }
-      n_port = cur_port;
-      cur_port = cur_port + 1;
-      cs_btpl = (LB_IP, n_port, server[0], server[1]);
-      sc_btpl = (server[0], server[1], LB_IP, n_port);
-      f2b_nat[cs_ftpl] = cs_btpl;
-      b2f_nat[sc_btpl] = sc_ftpl;
-      nat_tpl = cs_btpl;
-    } else {
-      # existing connection
-      nat_tpl = f2b_nat[cs_ftpl];
-    }
-  } else {
-    # packet from server to client
-    sc_btpl = (si, sp, di, dp);
-    if (sc_btpl in b2f_nat) {
-      nat_tpl = b2f_nat[sc_btpl];
-    } else {
-      # no initial outbound traffic is allowed
-      drop_stat = drop_stat + 1;
-      return;
-    }
+/// A corpus entry with the embedded text of nfs/<filename>; a compile
+/// error when there is no such file.
+consteval CorpusEntry nf(std::string_view name, std::string_view filename,
+                         std::string_view structure) {
+  for (const auto& [file, text] : kSources) {
+    if (file == filename) return {name, filename, text, structure};
   }
-  pass_stat = pass_stat + 1;
-  pkt.ip_src = nat_tpl[0];
-  pkt.sport = nat_tpl[1];
-  pkt.ip_dst = nat_tpl[2];
-  pkt.dport = nat_tpl[3];
-  send(pkt, LB_IFACE);
+  throw "no such file in nfs/";
 }
-
-def main() {
-  sniff(0, pkt_callback);
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// balance_sock.nf — the paper's Figure 3: socket-level TCP proxy balancer
-// with the nested accept/fork/relay loops (Fig. 4d). Must pass through
-// transform::unfold_sockets before analysis.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kBalanceSock =
-    R"NF(# balance 3.5-style TCP proxy load balancer (paper Figure 3).
-# Nested-loop socket structure (Fig. 4d): hidden TCP state lives in the
-# OS until transform::unfold_sockets makes it explicit.
-var MODE_RR = 1;
-var mode = 1;
-var BAL_PORT = 80;
-var servers = [(1.1.1.1, 80), (2.2.2.2, 80)];
-var idx = 0;
-# Log state
-var conn_stat = 0;
-var busy_stat = 0;
-var wrap_stat = 0;
-
-def main() {
-  lfd = sock_listen(BAL_PORT);
-  while (true) {
-    cfd = sock_accept(lfd);
-    if (mode == MODE_RR) {
-      server = servers[idx];
-      idx = (idx + 1) % len(servers);
-    } else {
-      # hash the client to a backend server
-      server = servers[hash(cfd) % len(servers)];
-    }
-    conn_stat = conn_stat + 1;
-    if (conn_stat > 1000) {
-      # failure handling: connection table pressure accounting
-      busy_stat = busy_stat + 1;
-    }
-    if (idx == 0) {
-      wrap_stat = wrap_stat + 1;
-    }
-    child = fork();
-    if (child == 0) {
-      sfd = sock_connect(server[0], server[1]);
-      while (true) {
-        buf = sock_recv(cfd);
-        sock_send(sfd, buf);
-        buf2 = sock_recv(sfd);
-        sock_send(cfd, buf2);
-      }
-    }
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// snort_lite.nf — signature-based inline IDS/IPS modeled on snort 1.0's
-// decode -> preprocess -> detect -> verdict flow. Canonical loop (Fig 4a).
-// The preprocess/logging stages carry many forwarding-irrelevant branches
-// — the code NFactor's slicing prunes (paper §5: "The pruned code
-// includes logs, failure handling, locking, etc.").
-// ---------------------------------------------------------------------------
-constexpr std::string_view kSnortLite = R"NF(# snort-lite: inline signature IDS/IPS, canonical loop structure (Fig. 4a).
-# -------- configuration --------
-var IFACE_IN = 0;
-var IFACE_OUT = 1;
-var INLINE_DROP = 1;
-# rule tuple: (proto, src_ip, src_port, dst_ip, dst_port, flags_mask)
-# field value 0 means wildcard.
-var rules = [
-  (6, 0, 0, 0, 23, 0),
-  (6, 0, 0, 0, 8080, 2),
-  (17, 0, 0, 0, 69, 0),
-];
-
-# -------- log / statistics state (forwarding-irrelevant) --------
-var pkt_count = 0;
-var tcp_count = 0;
-var udp_count = 0;
-var other_count = 0;
-var syn_count = 0;
-var fin_count = 0;
-var rst_count = 0;
-var big_count = 0;
-var tiny_count = 0;
-var lowttl_count = 0;
-var frag_count = 0;
-var http_count = 0;
-var telnet_count = 0;
-var alert_count = 0;
-var drop_count = 0;
-var byte_count = 0;
-var decode_fail = 0;
-
-def decode_ok(pkt) {
-  # failure handling: malformed packets are not forwarded
-  if (pkt.eth_type != 0x0800) {
-    return false;
-  }
-  if (pkt.ip_ttl == 0) {
-    return false;
-  }
-  return true;
-}
-
-def preprocess(pkt) {
-  # per-protocol accounting (log-only; pruned by slicing)
-  pkt_count = pkt_count + 1;
-  byte_count = byte_count + pkt.len;
-  if (pkt.ip_proto == 6) {
-    tcp_count = tcp_count + 1;
-  } else {
-    if (pkt.ip_proto == 17) {
-      udp_count = udp_count + 1;
-    } else {
-      other_count = other_count + 1;
-    }
-  }
-  if ((pkt.tcp_flags & 2) != 0) {
-    syn_count = syn_count + 1;
-  }
-  if ((pkt.tcp_flags & 1) != 0) {
-    fin_count = fin_count + 1;
-  }
-  if ((pkt.tcp_flags & 4) != 0) {
-    rst_count = rst_count + 1;
-  }
-  if (pkt.len > 512) {
-    big_count = big_count + 1;
-  }
-  if (pkt.len < 16) {
-    tiny_count = tiny_count + 1;
-  }
-  if (pkt.ip_ttl < 5) {
-    lowttl_count = lowttl_count + 1;
-  }
-  if (pkt.ip_id != 0) {
-    frag_count = frag_count + 1;
-  }
-  if (pkt.dport == 80) {
-    http_count = http_count + 1;
-  }
-  if (pkt.dport == 23) {
-    telnet_count = telnet_count + 1;
-  }
-}
-
-def match_rule(pkt, r) {
-  # header match with 0-wildcards; compound condition keeps the branch
-  # factor at one per rule
-  if ((r[0] == 0 || r[0] == pkt.ip_proto) &&
-      (r[1] == 0 || r[1] == pkt.ip_src) &&
-      (r[2] == 0 || r[2] == pkt.sport) &&
-      (r[3] == 0 || r[3] == pkt.ip_dst) &&
-      (r[4] == 0 || r[4] == pkt.dport) &&
-      (r[5] == 0 || (pkt.tcp_flags & r[5]) != 0)) {
-    return true;
-  }
-  return false;
-}
-
-def detect(pkt) {
-  for i in 0..len(rules) {
-    if (match_rule(pkt, rules[i])) {
-      return i;
-    }
-  }
-  # content rules (compiled in, like snort's content: options)
-  if (pkt.dport == 21 && payload_contains(pkt, "USER root")) {
-    return 100;
-  }
-  if (pkt.dport == 80 && payload_contains(pkt, "/etc/passwd")) {
-    return 101;
-  }
-  return 0 - 1;
-}
-
-def log_alert(pkt, rule_id) {
-  alert_count = alert_count + 1;
-  # alert record formatting (pruned by slicing)
-  sev = 1;
-  if (rule_id >= 100) {
-    sev = 2;
-  }
-  src_hi = pkt.ip_src >> 16;
-  src_lo = pkt.ip_src & 0xFFFF;
-  log("ALERT", rule_id, sev, src_hi, src_lo, pkt.sport, pkt.dport);
-}
-
-def main() {
-  while (true) {
-    pkt = recv(IFACE_IN);
-    if (!decode_ok(pkt)) {
-      decode_fail = decode_fail + 1;
-      return;
-    }
-    preprocess(pkt);
-    rule_id = detect(pkt);
-    if (rule_id >= 0) {
-      log_alert(pkt, rule_id);
-      if (INLINE_DROP == 1) {
-        drop_count = drop_count + 1;
-        return;
-      }
-    }
-    send(pkt, IFACE_OUT);
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// nat.nf — NAPT gateway, canonical loop.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kNat = R"NF(# napt: network address/port translation gateway (Fig. 4a structure).
-var EXT_IP = 5.5.5.5;
-var INT_PORT = 0;
-var EXT_PORT = 1;
-var PORT_BASE = 40000;
-# Translation state
-var nat_out = {};
-var nat_in = {};
-var next_p = 40000;
-# Log state
-var xlated = 0;
-var dropped_in = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    if (pkt.in_port == INT_PORT) {
-      k = (pkt.ip_src, pkt.sport, pkt.ip_dst, pkt.dport);
-      if (!(k in nat_out)) {
-        nat_out[k] = next_p;
-        nat_in[next_p] = (pkt.ip_src, pkt.sport, pkt.ip_dst, pkt.dport);
-        next_p = next_p + 1;
-      }
-      ep = nat_out[k];
-      xlated = xlated + 1;
-      pkt.ip_src = EXT_IP;
-      pkt.sport = ep;
-      send(pkt, EXT_PORT);
-      return;
-    }
-    if (pkt.dport in nat_in) {
-      orig = nat_in[pkt.dport];
-      pkt.ip_dst = orig[0];
-      pkt.dport = orig[1];
-      send(pkt, INT_PORT);
-      return;
-    }
-    dropped_in = dropped_in + 1;
-    return;
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// firewall.nf — stateful firewall, canonical loop.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kFirewall =
-    R"NF(# stateful-firewall: LAN->WAN allowed and tracked; WAN->LAN only for
-# established connections; RST tears the entry down (Fig. 4a structure).
-var LAN_PORT = 0;
-var WAN_PORT = 1;
-# Connection table: 5-tuple -> 1 (live) / 0 (torn down)
-var conns = {};
-# Log state
-var allowed = 0;
-var blocked = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    if (pkt.in_port == LAN_PORT) {
-      k = (pkt.ip_src, pkt.sport, pkt.ip_dst, pkt.dport, pkt.ip_proto);
-      conns[k] = 1;
-      allowed = allowed + 1;
-      send(pkt, WAN_PORT);
-      return;
-    }
-    rk = (pkt.ip_dst, pkt.dport, pkt.ip_src, pkt.sport, pkt.ip_proto);
-    if (rk in conns && conns[rk] == 1) {
-      if ((pkt.tcp_flags & 4) != 0) {
-        # RST: tear down and still deliver the reset
-        conns[rk] = 0;
-      }
-      allowed = allowed + 1;
-      send(pkt, LAN_PORT);
-      return;
-    }
-    blocked = blocked + 1;
-    return;
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// monitor.nf — per-flow rate limiter, consumer-producer structure (Fig 4c).
-// ---------------------------------------------------------------------------
-constexpr std::string_view kMonitor =
-    R"NF(# flow-rate-limiter with a consumer-producer structure (Fig. 4c):
-# a read loop enqueues packets, a processing loop pops and decides.
-var LIMIT = 3;
-var OUT_PORT = 1;
-var queue = [];
-# Output-impacting state
-var flow_count = {};
-# Log state
-var total = 0;
-var limited = 0;
-
-def read_loop() {
-  while (true) {
-    p = recv(0);
-    push(queue, p);
-  }
-}
-
-def proc_loop() {
-  while (true) {
-    p = pop(queue);
-    total = total + 1;
-    k = (p.ip_src, p.ip_dst, p.ip_proto);
-    if (k in flow_count) {
-      c = flow_count[k];
-    } else {
-      c = 0;
-    }
-    if (c >= LIMIT) {
-      limited = limited + 1;
-      return;
-    }
-    flow_count[k] = c + 1;
-    send(p, OUT_PORT);
-  }
-}
-
-def main() {
-  spawn(read_loop);
-  spawn(proc_loop);
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// l2_switch.nf — MAC-learning switch, canonical loop.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kL2Switch =
-    R"NF(# l2-switch: MAC learning switch with flooding (Fig. 4a structure).
-var FLOOD_PORT = 255;
-# Forwarding state: MAC -> switch port
-var mac_table = {};
-# Log state
-var learned = 0;
-var flooded = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    # learn the source MAC's port
-    mac_table[pkt.eth_src] = pkt.in_port;
-    learned = learned + 1;
-    if (pkt.eth_dst in mac_table) {
-      out = mac_table[pkt.eth_dst];
-      if (out != pkt.in_port) {
-        send(pkt, out);
-      }
-      return;
-    }
-    flooded = flooded + 1;
-    send(pkt, FLOOD_PORT);
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// dpi.nf — payload signature inspection with mirroring, canonical loop.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kDpi =
-    R"NF(# dpi: payload signature inspection; matched packets are mirrored to
-# an analysis port AND still forwarded (Fig. 4a structure).
-var WATCH_PORT = 80;
-var MIRROR_PORT = 9;
-var OUT_PORT = 1;
-# Log state
-var inspected = 0;
-var matched = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    if (pkt.ip_proto != 6) {
-      send(pkt, OUT_PORT);
-      return;
-    }
-    if (pkt.dport == WATCH_PORT || pkt.sport == WATCH_PORT) {
-      inspected = inspected + 1;
-      if (payload_contains(pkt, "exploit") ||
-          payload_contains(pkt, "/etc/shadow")) {
-        matched = matched + 1;
-        send(pkt, MIRROR_PORT);
-        send(pkt, OUT_PORT);
-        return;
-      }
-    }
-    send(pkt, OUT_PORT);
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// heavy_hitter.nf — per-source byte accounting with a blocking threshold.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kHeavyHitter =
-    R"NF(# heavy-hitter: per-source byte counter; sources above THRESH are
-# blocked (Fig. 4a structure). The counter is output-impacting state —
-# unlike a log counter, it gates forwarding.
-var THRESH = 600;
-var OUT_PORT = 1;
-# Output-impacting state
-var bytes_by_src = {};
-# Log state
-var blocked_cnt = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    if (pkt.ip_src in bytes_by_src) {
-      b = bytes_by_src[pkt.ip_src];
-    } else {
-      b = 0;
-    }
-    nb = b + pkt.len;
-    bytes_by_src[pkt.ip_src] = nb;
-    if (nb > THRESH) {
-      blocked_cnt = blocked_cnt + 1;
-      return;
-    }
-    send(pkt, OUT_PORT);
-  }
-}
-)NF";
-
-// ---------------------------------------------------------------------------
-// synflood.nf — stateful SYN-flood mitigation, canonical loop.
-// ---------------------------------------------------------------------------
-constexpr std::string_view kSynFlood =
-    R"NF(# synflood: SYN-flood mitigation. Tracks half-open handshakes per
-# source; sources above SYN_LIMIT have further SYNs dropped; a completed
-# handshake (ACK) forgives one half-open entry (Fig. 4a structure).
-var OUT_PORT = 1;
-var SYN_LIMIT = 3;
-# Output-impacting state
-var half_open = {};
-# Log state
-var flood_drops = 0;
-var forgiven = 0;
-
-def main() {
-  while (true) {
-    pkt = recv(0);
-    if (pkt.ip_proto != 6) {
-      send(pkt, OUT_PORT);
-      return;
-    }
-    f = pkt.tcp_flags;
-    if ((f & 2) != 0 && (f & 16) == 0) {
-      # bare SYN: count it against the source
-      if (pkt.ip_src in half_open) {
-        c = half_open[pkt.ip_src];
-      } else {
-        c = 0;
-      }
-      if (c >= SYN_LIMIT) {
-        flood_drops = flood_drops + 1;
-        return;
-      }
-      half_open[pkt.ip_src] = c + 1;
-      send(pkt, OUT_PORT);
-      return;
-    }
-    if ((f & 16) != 0) {
-      # ACK: a handshake completed; forgive one half-open slot
-      if (pkt.ip_src in half_open) {
-        c2 = half_open[pkt.ip_src];
-        if (c2 > 0) {
-          half_open[pkt.ip_src] = c2 - 1;
-          forgiven = forgiven + 1;
-        }
-      }
-    }
-    send(pkt, OUT_PORT);
-  }
-}
-)NF";
 
 const std::vector<CorpusEntry> kCorpus = {
-    {"lb", "lb.nf", kLb, "callback"},
-    {"balance", "balance_sock.nf", kBalanceSock, "nested-loop"},
-    {"snort_lite", "snort_lite.nf", kSnortLite, "canonical-loop"},
-    {"nat", "nat.nf", kNat, "canonical-loop"},
-    {"firewall", "firewall.nf", kFirewall, "canonical-loop"},
-    {"monitor", "monitor.nf", kMonitor, "consumer-producer"},
-    {"l2_switch", "l2_switch.nf", kL2Switch, "canonical-loop"},
-    {"dpi", "dpi.nf", kDpi, "canonical-loop"},
-    {"heavy_hitter", "heavy_hitter.nf", kHeavyHitter, "canonical-loop"},
-    {"synflood", "synflood.nf", kSynFlood, "canonical-loop"},
+    nf("lb", "lb.nf", "callback"),
+    nf("balance", "balance_sock.nf", "nested-loop"),
+    nf("snort_lite", "snort_lite.nf", "canonical-loop"),
+    nf("nat", "nat.nf", "canonical-loop"),
+    nf("firewall", "firewall.nf", "canonical-loop"),
+    nf("monitor", "monitor.nf", "consumer-producer"),
+    nf("l2_switch", "l2_switch.nf", "canonical-loop"),
+    nf("dpi", "dpi.nf", "canonical-loop"),
+    nf("heavy_hitter", "heavy_hitter.nf", "canonical-loop"),
+    nf("synflood", "synflood.nf", "canonical-loop"),
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The NF corpus: DSL re-implementations of the programs the paper
 // studies (Fig. 1 load balancer, Fig. 3 "balance", snort) plus three
 // more NFs (NAT, stateful firewall, consumer-producer rate monitor) that
-// exercise every §3.2 code structure. Single source of truth for tests,
-// benches and examples; write_corpus() materializes the .nf files.
+// exercise every §3.2 code structure. The programs' source is nfs/*.nf,
+// embedded at build time (src/nfs/CMakeLists.txt) for tests, benches and
+// examples; write_corpus() writes the embedded copies back out.
 #pragma once
 
 #include <string>

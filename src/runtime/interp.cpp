@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "lang/builtins.h"
+#include "lang/int_ops.h"
 
 namespace nfactor::runtime {
 
@@ -92,113 +93,95 @@ void Interpreter::run_cfg(const ir::Cfg& cfg, Output* out, bool is_body) {
     const ir::Instr& n = cfg.node(cur);
     int next = n.succs.empty() ? cfg.exit : n.succs[0];
 
-    const bool enabled = node_enabled(n.id);
     switch (n.kind) {
       case ir::InstrKind::kEntry:
       case ir::InstrKind::kExit:
         break;
-      case ir::InstrKind::kRecv: {
-        if (is_body) {
-          netsim::Packet p = pending_input_;
-          if (n.aux) {
-            // The program may filter by ingress port; honor the packet's
-            // own in_port (set by the harness).
-          }
-          lvalue(n.var, n.loc) = Value(std::move(p));
-        }
+      case ir::InstrKind::kRecv:
+        if (is_body) lvalue(n.var, n.loc) = Value(pending_input_);
         if (tracing_ && is_body) record_event(n);
         break;
-      }
       case ir::InstrKind::kAssign:
-        if (enabled) {
-          if (tracing_ && is_body) record_event(n);
-          lvalue(n.var, n.loc) = eval(*n.value);
-        }
+        if (tracing_ && is_body) record_event(n);
+        lvalue(n.var, n.loc) = eval(*n.value);
         break;
-      case ir::InstrKind::kFieldStore:
-        if (enabled) {
-          if (tracing_ && is_body) record_event(n);
-          Value& base = lvalue(n.var, n.loc);
-          if (!base.is_packet()) {
-            throw RuntimeError(n.loc, "field store on non-packet '" + n.var + "'");
+      case ir::InstrKind::kFieldStore: {
+        if (tracing_ && is_body) record_event(n);
+        Value& base = lvalue(n.var, n.loc);
+        if (!base.is_packet()) {
+          throw RuntimeError(n.loc, "field store on non-packet '" + n.var + "'");
+        }
+        set_packet_field(base.as_packet(), n.field,
+                         as_int_or_throw(eval(*n.value), n.loc, "field value"));
+        break;
+      }
+      case ir::InstrKind::kIndexStore: {
+        if (tracing_ && is_body) record_event(n);
+        Value& base = lvalue(n.var, n.loc);
+        if (base.is_map()) {
+          base.as_map().items[to_key(eval(*n.index))] = eval(*n.value);
+        } else if (base.is_list()) {
+          const Int i = as_int_or_throw(eval(*n.index), n.loc, "list index");
+          auto& items = base.as_list().items;
+          if (i < 0 || static_cast<std::size_t>(i) >= items.size()) {
+            throw RuntimeError(n.loc, "list index out of range");
           }
-          set_packet_field(base.as_packet(), n.field,
-                           as_int_or_throw(eval(*n.value), n.loc, "field value"));
+          items[static_cast<std::size_t>(i)] = eval(*n.value);
+        } else {
+          throw RuntimeError(n.loc, "element store on non-container '" +
+                                        n.var + "'");
         }
         break;
-      case ir::InstrKind::kIndexStore:
-        if (enabled) {
-          if (tracing_ && is_body) record_event(n);
-          Value& base = lvalue(n.var, n.loc);
-          if (base.is_map()) {
-            base.as_map().items[to_key(eval(*n.index))] = eval(*n.value);
-          } else if (base.is_list()) {
-            const Int i = as_int_or_throw(eval(*n.index), n.loc, "list index");
-            auto& items = base.as_list().items;
-            if (i < 0 || static_cast<std::size_t>(i) >= items.size()) {
-              throw RuntimeError(n.loc, "list index out of range");
-            }
-            items[static_cast<std::size_t>(i)] = eval(*n.value);
-          } else {
-            throw RuntimeError(n.loc, "element store on non-container '" +
-                                          n.var + "'");
-          }
-        }
-        break;
+      }
       case ir::InstrKind::kBranch: {
-        // Branch conditions always evaluate, even under a node filter —
-        // control flow must stay concrete when "running the slice".
         if (tracing_ && is_body) record_event(n);
         const bool taken = as_bool_or_throw(eval(*n.value), n.loc);
         next = taken ? n.succs[0] : n.succs[1];
         break;
       }
-      case ir::InstrKind::kSend:
-        if (enabled) {
-          if (tracing_ && is_body) record_event(n);
-          const Value pkt = eval(*n.value);
-          if (!pkt.is_packet()) {
-            throw RuntimeError(n.loc, "send() of non-packet value");
-          }
-          const Int port = as_int_or_throw(eval(*n.aux), n.loc, "send port");
-          if (cur_out_) {
-            cur_out_->sent.emplace_back(pkt.as_packet(), static_cast<int>(port));
-          }
+      case ir::InstrKind::kSend: {
+        if (tracing_ && is_body) record_event(n);
+        const Value pkt = eval(*n.value);
+        if (!pkt.is_packet()) {
+          throw RuntimeError(n.loc, "send() of non-packet value");
+        }
+        const Int port = as_int_or_throw(eval(*n.aux), n.loc, "send port");
+        if (cur_out_) {
+          cur_out_->sent.emplace_back(pkt.as_packet(), static_cast<int>(port));
         }
         break;
+      }
       case ir::InstrKind::kCall:
-        if (enabled) {
-          if (tracing_ && is_body) record_event(n);
-          if (n.callee == "log") {
-            std::string line;
-            for (std::size_t i = 0; i < n.args.size(); ++i) {
-              if (i) line += " ";
-              line += to_string(eval(*n.args[i]));
-            }
-            log_.push_back(std::move(line));
-          } else if (n.callee == "push") {
-            Value container = eval(*n.args[0]);
-            if (!container.is_list()) {
-              throw RuntimeError(n.loc, "push() needs a list");
-            }
-            container.as_list().items.push_back(eval(*n.args[1]));
-          } else if (n.callee == "pop") {
-            Value container = eval(*n.args[0]);
-            if (!container.is_list() || container.as_list().items.empty()) {
-              throw RuntimeError(n.loc, "pop() from empty or non-list");
-            }
-            Value front = container.as_list().items.front();
-            container.as_list().items.erase(container.as_list().items.begin());
-            if (!n.var.empty()) lvalue(n.var, n.loc) = std::move(front);
-          } else {
-            throw RuntimeError(n.loc, "unknown effect builtin '" + n.callee + "'");
+        if (tracing_ && is_body) record_event(n);
+        if (n.callee == "log") {
+          std::string line;
+          for (std::size_t i = 0; i < n.args.size(); ++i) {
+            if (i) line += " ";
+            line += to_string(eval(*n.args[i]));
           }
+          log_.push_back(std::move(line));
+        } else if (n.callee == "push") {
+          Value container = eval(*n.args[0]);
+          if (!container.is_list()) {
+            throw RuntimeError(n.loc, "push() needs a list");
+          }
+          container.as_list().items.push_back(eval(*n.args[1]));
+        } else if (n.callee == "pop") {
+          Value container = eval(*n.args[0]);
+          if (!container.is_list() || container.as_list().items.empty()) {
+            throw RuntimeError(n.loc, "pop() from empty or non-list");
+          }
+          Value front = container.as_list().items.front();
+          container.as_list().items.erase(container.as_list().items.begin());
+          if (!n.var.empty()) lvalue(n.var, n.loc) = std::move(front);
+        } else {
+          throw RuntimeError(n.loc, "unknown effect builtin '" + n.callee + "'");
         }
         break;
     }
 
     // Record definitions for dynamic def-use links.
-    if (tracing_ && is_body && enabled && !trace_.empty() &&
+    if (tracing_ && is_body && !trace_.empty() &&
         trace_.back().node == n.id) {
       for (const auto& d : n.defs()) {
         last_def_[d] = static_cast<int>(trace_.size()) - 1;
@@ -242,7 +225,8 @@ Value Interpreter::eval(const Expr& e) {
       const auto& u = static_cast<const lang::Unary&>(e);
       const Value x = eval(*u.operand);
       if (u.op == lang::UnOp::kNeg) {
-        return Value(-as_int_or_throw(x, e.loc, "negation operand"));
+        return Value(
+            lang::int_ops::neg(as_int_or_throw(x, e.loc, "negation operand")));
       }
       return Value(!as_bool_or_throw(x, e.loc));
     }
@@ -280,29 +264,11 @@ Value Interpreter::eval(const Expr& e) {
       }
       const Int a = as_int_or_throw(l, e.loc, "left operand");
       const Int c = as_int_or_throw(r, e.loc, "right operand");
-      switch (b.op) {
-        case BinOp::kAdd: return Value(a + c);
-        case BinOp::kSub: return Value(a - c);
-        case BinOp::kMul: return Value(a * c);
-        case BinOp::kDiv:
-          if (c == 0) throw RuntimeError(e.loc, "division by zero");
-          return Value(a / c);
-        case BinOp::kMod:
-          if (c == 0) throw RuntimeError(e.loc, "modulo by zero");
-          return Value(((a % c) + c) % c);  // non-negative, Python-style
-        case BinOp::kLt: return Value(a < c);
-        case BinOp::kLe: return Value(a <= c);
-        case BinOp::kGt: return Value(a > c);
-        case BinOp::kGe: return Value(a >= c);
-        case BinOp::kBitAnd: return Value(a & c);
-        case BinOp::kBitOr: return Value(a | c);
-        case BinOp::kBitXor: return Value(a ^ c);
-        case BinOp::kShl: return Value(a << (c & 63));
-        case BinOp::kShr: return Value(static_cast<Int>(
-            static_cast<std::uint64_t>(a) >> (c & 63)));
-        default:
-          throw RuntimeError(e.loc, "unhandled binary operator");
-      }
+      if (const auto v = lang::int_ops::compare(b.op, a, c)) return Value(*v);
+      if (const auto v = lang::int_ops::apply(b.op, a, c)) return Value(*v);
+      if (b.op == BinOp::kDiv) throw RuntimeError(e.loc, "division by zero");
+      if (b.op == BinOp::kMod) throw RuntimeError(e.loc, "modulo by zero");
+      throw RuntimeError(e.loc, "unhandled binary operator");
     }
     case ExprKind::kTupleLit: {
       const auto& t = static_cast<const lang::TupleLit&>(e);

@@ -4,8 +4,6 @@
 // recording), and as the reference semantics for every other component.
 #pragma once
 
-#include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -51,13 +49,6 @@ class Interpreter {
   const analysis::Trace& trace() const { return trace_; }
   void clear_trace() { trace_.clear(); }
 
-  /// Restrict execution to a node subset ("running the slice"): excluded
-  /// non-branch nodes become no-ops; branch conditions always evaluate so
-  /// control flow stays concrete.
-  void set_node_filter(std::optional<std::set<int>> filter) {
-    filter_ = std::move(filter);
-  }
-
   /// Log lines captured from log() calls.
   const std::vector<std::string>& log_lines() const { return log_; }
 
@@ -65,15 +56,10 @@ class Interpreter {
   void set_step_limit(std::size_t n) { step_limit_ = n; }
 
  private:
-  bool node_enabled(int id) const {
-    return !filter_ || filter_->count(id) != 0;
-  }
-
   Value eval(const lang::Expr& e);
   Value eval_call(const lang::Call& c);
   Value& lvalue(const std::string& var, lang::SourceLoc loc);
   Value lookup(const std::string& var, lang::SourceLoc loc);
-  void exec_body(Output& out);
   void run_cfg(const ir::Cfg& cfg, Output* out, bool is_body);
   void record_event(const ir::Instr& n);
 
@@ -87,7 +73,6 @@ class Interpreter {
   analysis::Trace trace_;
   std::unordered_map<ir::Location, int> last_def_;  // location -> trace idx
 
-  std::optional<std::set<int>> filter_;
   std::vector<std::string> log_;
   std::size_t step_limit_ = 1u << 20;
 };

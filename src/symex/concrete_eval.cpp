@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "lang/int_ops.h"
+
 namespace nfactor::symex {
 
 namespace {
@@ -67,7 +69,9 @@ Value eval_concrete(const SymRef& e, const ConcreteEnv& env) {
     }
     case SymKind::kUn: {
       const Value x = eval_concrete(e->operands[0], env);
-      if (e->un_op == lang::UnOp::kNeg) return Value(-as_int(x));
+      if (e->un_op == lang::UnOp::kNeg) {
+        return Value(lang::int_ops::neg(as_int(x)));
+      }
       return Value(!as_bool(x));
     }
     case SymKind::kBin: {
@@ -87,31 +91,14 @@ Value eval_concrete(const SymRef& e, const ConcreteEnv& env) {
         case BinOp::kNe: return Value(!runtime::value_eq(l, r));
         default: break;
       }
+      const BinOp op = e->bin_op;
       const Int a = as_int(l);
       const Int b = as_int(r);
-      switch (e->bin_op) {
-        case BinOp::kAdd: return Value(a + b);
-        case BinOp::kSub: return Value(a - b);
-        case BinOp::kMul: return Value(a * b);
-        case BinOp::kDiv:
-          if (b == 0) throw std::runtime_error("division by zero");
-          return Value(a / b);
-        case BinOp::kMod:
-          if (b == 0) throw std::runtime_error("modulo by zero");
-          return Value(((a % b) + b) % b);
-        case BinOp::kLt: return Value(a < b);
-        case BinOp::kLe: return Value(a <= b);
-        case BinOp::kGt: return Value(a > b);
-        case BinOp::kGe: return Value(a >= b);
-        case BinOp::kBitAnd: return Value(a & b);
-        case BinOp::kBitOr: return Value(a | b);
-        case BinOp::kBitXor: return Value(a ^ b);
-        case BinOp::kShl: return Value(a << (b & 63));
-        case BinOp::kShr:
-          return Value(static_cast<Int>(static_cast<std::uint64_t>(a) >> (b & 63)));
-        default:
-          throw std::runtime_error("unhandled binary op in concrete eval");
-      }
+      if (const auto v = lang::int_ops::compare(op, a, b)) return Value(*v);
+      if (const auto v = lang::int_ops::apply(op, a, b)) return Value(*v);
+      if (op == BinOp::kDiv) throw std::runtime_error("division by zero");
+      if (op == BinOp::kMod) throw std::runtime_error("modulo by zero");
+      throw std::runtime_error("unhandled binary op in concrete eval");
     }
     case SymKind::kTupleExpr: {
       Tuple t;

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "lang/int_ops.h"
 #include "symex/intern.h"
 
 namespace nfactor::symex {
@@ -14,31 +15,6 @@ SymExpr raw(SymKind k) {
   SymExpr e;
   e.kind = k;
   return e;
-}
-
-Int fold_bin_int(lang::BinOp op, Int a, Int b, bool* ok) {
-  *ok = true;
-  using lang::BinOp;
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kDiv:
-      if (b == 0) { *ok = false; return 0; }
-      return a / b;
-    case BinOp::kMod:
-      if (b == 0) { *ok = false; return 0; }
-      return ((a % b) + b) % b;
-    case BinOp::kBitAnd: return a & b;
-    case BinOp::kBitOr: return a | b;
-    case BinOp::kBitXor: return a ^ b;
-    case BinOp::kShl: return a << (b & 63);
-    case BinOp::kShr:
-      return static_cast<Int>(static_cast<std::uint64_t>(a) >> (b & 63));
-    default:
-      *ok = false;
-      return 0;
-  }
 }
 
 }  // namespace
@@ -168,7 +144,9 @@ SymRef make_var(std::string name, VarClass cls) {
 }
 
 SymRef make_un(lang::UnOp op, SymRef a) {
-  if (op == lang::UnOp::kNeg && is_const_int(a)) return make_int(-a->int_val);
+  if (op == lang::UnOp::kNeg && is_const_int(a)) {
+    return make_int(lang::int_ops::neg(a->int_val));
+  }
   if (op == lang::UnOp::kNot) return negate(a);
   auto e = raw(SymKind::kUn);
   e.un_op = op;
@@ -209,19 +187,11 @@ SymRef make_bin(lang::BinOp op, SymRef a, SymRef b) {
   using lang::BinOp;
   // Constant folding.
   if (is_const_int(a) && is_const_int(b)) {
-    switch (op) {
-      case BinOp::kEq: return make_bool(a->int_val == b->int_val);
-      case BinOp::kNe: return make_bool(a->int_val != b->int_val);
-      case BinOp::kLt: return make_bool(a->int_val < b->int_val);
-      case BinOp::kLe: return make_bool(a->int_val <= b->int_val);
-      case BinOp::kGt: return make_bool(a->int_val > b->int_val);
-      case BinOp::kGe: return make_bool(a->int_val >= b->int_val);
-      default: {
-        bool ok = false;
-        const Int v = fold_bin_int(op, a->int_val, b->int_val, &ok);
-        if (ok) return make_int(v);
-        break;
-      }
+    if (const auto v = lang::int_ops::compare(op, a->int_val, b->int_val)) {
+      return make_bool(*v);
+    }
+    if (const auto v = lang::int_ops::apply(op, a->int_val, b->int_val)) {
+      return make_int(*v);
     }
   }
   if (is_const_bool(a) && is_const_bool(b)) {

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "lang/int_ops.h"
 #include "obs/obs.h"
 
 namespace nfactor::symex {
@@ -252,7 +253,7 @@ class Checker {
       }
     }
     // Modulo by a positive constant: the term's value is intrinsically
-    // within [0, c-1] (DSL modulo is Python-style non-negative).
+    // within [0, c-1] (DSL modulo takes the divisor's sign).
     if (e->kind == SymKind::kBin && e->bin_op == BinOp::kMod &&
         is_const_int(e->operands[1]) && e->operands[1]->int_val > 0) {
       const int t = term_id(e);
@@ -307,15 +308,7 @@ class Checker {
 
     if (!a.term && !b.term) {
       // Fully constant; builders usually folded this already.
-      switch (op) {
-        case BinOp::kEq: return a.offset == b.offset;
-        case BinOp::kNe: return a.offset != b.offset;
-        case BinOp::kLt: return a.offset < b.offset;
-        case BinOp::kLe: return a.offset <= b.offset;
-        case BinOp::kGt: return a.offset > b.offset;
-        case BinOp::kGe: return a.offset >= b.offset;
-        default: return true;
-      }
+      return lang::int_ops::compare(op, a.offset, b.offset).value_or(true);
     }
 
     if (a.term && b.term) {
@@ -323,15 +316,7 @@ class Checker {
       const int tb = term_id(b.term);
       if (struct_eq(a.term, b.term)) {
         // Same term: the relation is decided by the offsets alone.
-        switch (op) {
-          case BinOp::kEq: return a.offset == b.offset;
-          case BinOp::kNe: return a.offset != b.offset;
-          case BinOp::kLt: return a.offset < b.offset;
-          case BinOp::kLe: return a.offset <= b.offset;
-          case BinOp::kGt: return a.offset > b.offset;
-          case BinOp::kGe: return a.offset >= b.offset;
-          default: return true;
-        }
+        return lang::int_ops::compare(op, a.offset, b.offset).value_or(true);
       }
       if (op == BinOp::kEq && a.offset == b.offset) {
         return unite(ta, tb) && constrain_pair(a.term, b.term, kEqMask);

@@ -46,6 +46,27 @@ TEST(Lexer, Ipv4OctetRangeChecked) {
   EXPECT_THROW(lex("1.2.3."), LexError);
 }
 
+TEST(Lexer, LiteralsUpToInt64MaxLex) {
+  const auto toks = lex("9223372036854775807 0x7fffffffffffffff");
+  EXPECT_EQ(toks[0].value, INT64_MAX);
+  EXPECT_EQ(toks[1].value, INT64_MAX);
+}
+
+TEST(Lexer, LiteralsAboveInt64MaxAreRejectedByName) {
+  for (const std::string lit :
+       {"9223372036854775808", "0x8000000000000000",
+        "99999999999999999999.1.1.1"}) {
+    try {
+      lex("x = " + lit + ";");
+      ADD_FAILURE() << lit << " lexed";
+    } catch (const LexError& e) {
+      EXPECT_NE(e.diag().message.find("'" + lit + "'"), std::string::npos)
+          << e.diag().message;
+      EXPECT_EQ(e.diag().loc.col, 5) << lit;
+    }
+  }
+}
+
 TEST(Lexer, RangeOperatorIsNotAnIpLiteral) {
   // `0..n` must lex as INT DOTDOT IDENT, not a malformed IP.
   const auto k = kinds("0..n");
