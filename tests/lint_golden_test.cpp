@@ -1,4 +1,4 @@
-// Golden tests for nf-lint output: every bundled corpus NF plus the two
+// Golden tests for nf-lint output: every bundled corpus NF plus the
 // deliberately-buggy fixtures under tests/fixtures/ are linted and the
 // rendered text compared against tests/golden/lint/<unit>.txt.
 //
@@ -72,7 +72,8 @@ TEST(LintGoldenTest, Corpus) {
 
 TEST(LintGoldenTest, BuggyFixtures) {
   for (const std::string name :
-       {"lint_uninit.nf", "lint_deadstate.nf", "lint_duplicate_arm.nf"}) {
+       {"lint_uninit.nf", "lint_deadstate.nf", "lint_duplicate_arm.nf",
+        "lint_dataflow.nf"}) {
     SCOPED_TRACE(name);
     const std::string path =
         std::string(NFACTOR_SOURCE_DIR) + "/tests/fixtures/" + name;
