@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <utility>
 
-#include "lang/builtins.h"
 #include "lang/int_ops.h"
 #include "obs/obs.h"
 
@@ -128,20 +126,26 @@ ConstVal eval_step(const lang::Expr& e, const ConstVal& lhs, const ConstVal& rhs
   return eval_binary(op, lhs, rhs);
 }
 
-ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env) : cfg_(cfg) {
+ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env)
+    : cfg_(cfg), du_(cfg) {
   exec_.assign(cfg.size(), false);
   edge_exec_.resize(cfg.size());
   for (std::size_t i = 0; i < cfg.size(); ++i) {
     edge_exec_[i].assign(cfg.nodes[i]->succs.size(), false);
   }
-  build_location_table(entry_env);
-  in_.resize(cfg.size() * locs_.size());
-  scratch_.resize(locs_.size());
-  OBS_GAUGE("constprop.locations", locs_.size());
+  in_.resize(cfg.size() * width());
+  scratch_.resize(width());
+  OBS_GAUGE("constprop.locations", width());
+  for (auto& [loc, v] : entry_env) {
+    const int id = du_.find_loc(loc);
+    if (id < 0) {
+      unmentioned_seeds_.emplace(loc, std::move(v));
+    } else if (cfg.entry >= 0) {
+      row(cfg.entry)[id] = to_cell(v);
+    }
+  }
   if (cfg.entry < 0) return;
 
-  Cell* entry = row(cfg.entry);
-  for (const auto& [loc, v] : entry_env) entry[loc_id(loc)] = to_cell(v);
   exec_[static_cast<std::size_t>(cfg.entry)] = true;
 
   std::deque<std::pair<int, int>> wl;
@@ -185,74 +189,6 @@ ConstProp::ConstProp(const ir::Cfg& cfg, ConstEnv entry_env) : cfg_(cfg) {
   OBS_GAUGE("constprop.edge_visits", visits);
 }
 
-void ConstProp::build_location_table(const ConstEnv& entry_env) {
-  // Every location a transfer can write, plus the seeds. A whole-variable
-  // def of a packet also writes the full packet-field vocabulary.
-  std::set<ir::Location> locs;
-  for (const auto& [loc, v] : entry_env) locs.insert(loc);
-  const auto is_packet_def = [](const ir::Instr& n) {
-    return n.kind == ir::InstrKind::kRecv ||
-           (n.kind == ir::InstrKind::kAssign &&
-            n.value->type == lang::Type::kPacket);
-  };
-  for (const auto& n : cfg_.nodes) {
-    for (const auto& d : n->defs()) locs.insert(d);
-    if (is_packet_def(*n)) {
-      for (const auto& f : lang::packet_fields()) {
-        locs.insert(ir::field_loc(n->var, f.name));
-      }
-    }
-  }
-  locs_.assign(locs.begin(), locs.end());
-
-  defs_.resize(cfg_.size());
-  for (const auto& n : cfg_.nodes) {
-    NodeDefs& d = defs_[static_cast<std::size_t>(n->id)];
-    switch (n->kind) {
-      case ir::InstrKind::kAssign:
-      case ir::InstrKind::kRecv: {
-        // Whole-variable strong def: the variable's field facts die. Its
-        // fields sort contiguously right after "var.".
-        const std::string prefix = n->var + ".";
-        const auto lo = std::lower_bound(locs_.begin(), locs_.end(), prefix);
-        auto hi = lo;
-        while (hi != locs_.end() && hi->compare(0, prefix.size(), prefix) == 0) {
-          ++hi;
-        }
-        d.smash_lo = static_cast<int>(lo - locs_.begin());
-        d.smash_hi = static_cast<int>(hi - locs_.begin());
-        if (is_packet_def(*n)) {
-          for (const auto& f : lang::packet_fields()) {
-            d.bottom.push_back(loc_id(ir::field_loc(n->var, f.name)));
-          }
-        }
-        if (n->kind == ir::InstrKind::kAssign) {
-          d.target = loc_id(n->var);
-        } else {
-          d.bottom.push_back(loc_id(n->var));
-        }
-        break;
-      }
-      case ir::InstrKind::kFieldStore:
-        d.target = loc_id(ir::field_loc(n->var, n->field));
-        break;
-      case ir::InstrKind::kIndexStore:
-      case ir::InstrKind::kCall:
-        // Weak container updates and pop's result: unknown afterwards.
-        for (const auto& loc : n->defs()) d.bottom.push_back(loc_id(loc));
-        break;
-      default:
-        break;  // entry/exit/branch/send: no defs
-    }
-  }
-}
-
-int ConstProp::loc_id(const ir::Location& loc) const {
-  const auto it = std::lower_bound(locs_.begin(), locs_.end(), loc);
-  if (it == locs_.end() || *it != loc) return -1;
-  return static_cast<int>(it - locs_.begin());
-}
-
 ConstProp::Cell ConstProp::to_cell(const ConstVal& v) {
   switch (v.kind) {
     case ConstVal::Kind::kInt: return {v.kind, v.i};
@@ -280,18 +216,41 @@ ConstVal ConstProp::to_val(const Cell& c) const {
 
 const ConstProp::Cell* ConstProp::transfer(int n) {
   const Cell* in = row(n);
-  const NodeDefs& d = defs_[static_cast<std::size_t>(n)];
-  if (d.target < 0 && d.bottom.empty() && d.smash_lo == d.smash_hi) return in;
-  std::copy(in, in + locs_.size(), scratch_.begin());
+  const int first = du_.first_def(n);
+  if (first == du_.last_def(n)) return in;
+  std::copy(in, in + width(), scratch_.begin());
   constexpr Cell kBottom{ConstVal::Kind::kBottom, 0};
-  for (int id = d.smash_lo; id < d.smash_hi; ++id) {
-    Cell& c = scratch_[static_cast<std::size_t>(id)];
-    if (c.kind != ConstVal::Kind::kTop) c = kBottom;
-  }
-  for (const int id : d.bottom) scratch_[static_cast<std::size_t>(id)] = kBottom;
-  if (d.target >= 0) {
-    scratch_[static_cast<std::size_t>(d.target)] =
-        to_cell(eval_in(n, *cfg_.node(n).value));
+  const auto cell = [this](int id) -> Cell& {
+    return scratch_[static_cast<std::size_t>(id)];
+  };
+  const ir::Instr& nd = cfg_.node(n);
+  switch (nd.kind) {
+    case ir::InstrKind::kAssign:
+    case ir::InstrKind::kRecv: {
+      // Whole-variable strong def: the variable's field facts die. A
+      // packet def defines every field; any other def leaves the fields
+      // it never defined at Top.
+      const int whole = du_.def(first).loc;
+      const bool packet = nd.kind == ir::InstrKind::kRecv ||
+                          nd.value->type == lang::Type::kPacket;
+      for (int f = du_.first_field(du_.var_of(whole)); f >= 0;
+           f = du_.loc(f).next_field) {
+        if (packet || cell(f).kind != ConstVal::Kind::kTop) cell(f) = kBottom;
+      }
+      cell(whole) = nd.kind == ir::InstrKind::kAssign
+                        ? to_cell(eval_in(n, *nd.value))
+                        : kBottom;
+      break;
+    }
+    case ir::InstrKind::kFieldStore:
+      cell(du_.def(first).loc) = to_cell(eval_in(n, *nd.value));
+      break;
+    default:
+      // Weak container updates and pop's result: unknown afterwards.
+      for (int d = first; d < du_.last_def(n); ++d) {
+        cell(du_.def(d).loc) = kBottom;
+      }
+      break;
   }
   return scratch_.data();
 }
@@ -299,7 +258,7 @@ const ConstProp::Cell* ConstProp::transfer(int n) {
 bool ConstProp::merge_into(int node, const Cell* src) {
   bool changed = false;
   Cell* dst = row(node);
-  for (std::size_t i = 0; i < locs_.size(); ++i) {
+  for (std::size_t i = 0; i < width(); ++i) {
     const Cell& s = src[i];
     Cell& d = dst[i];
     if (s.kind == ConstVal::Kind::kTop || d == s ||
@@ -324,8 +283,15 @@ bool ConstProp::edge_executable(int node, int slot) const {
 }
 
 ConstVal ConstProp::value_in(int node, const ir::Location& loc) const {
-  const int id = loc_id(loc);
-  return id < 0 ? ConstVal::top() : to_val(row(node)[id]);
+  if (const int id = du_.find_loc(loc); id >= 0) return to_val(row(node)[id]);
+  if (const auto it = unmentioned_seeds_.find(loc);
+      it != unmentioned_seeds_.end()) {
+    return exec_[static_cast<std::size_t>(node)] ? it->second : ConstVal::top();
+  }
+  std::string base;
+  const bool field = ir::split_field_loc(loc, &base, nullptr);
+  return field && value_in(node, base).is_bottom() ? ConstVal::bottom()
+                                                   : ConstVal::top();
 }
 
 ConstVal ConstProp::eval_in(int node, const lang::Expr& e) const {

@@ -12,12 +12,16 @@
 // the taken edge, so code behind provably-dead arms never pollutes the
 // merge points (Wegman–Zadeck, adapted to our non-SSA locations).
 //
-// Environments are dense. Construction builds a per-CFG location table
-// once — the entry seed's keys plus every location a transfer can
-// write — and keeps each node's entry environment as one row of 16-byte
-// cells indexed by location id. A transfer copies its node's row into a
-// reused scratch row and applies the node's precomputed def ids; a merge
-// is a linear meet of that row into the successor's.
+// Environments are dense. Locations are the CFG's def/use ids
+// (analysis::DefUse), and each node's entry environment is one row of
+// 16-byte cells indexed by location id. A transfer copies its node's row
+// into a reused scratch row and applies the node's defs; a merge is a
+// linear meet of that row into the successor's.
+//
+// A location the CFG never mentions has no cell. A seed keeps its seed
+// value at executable nodes (nothing writes it) and reads Top elsewhere;
+// a field reads Bottom where its variable's whole value is Bottom (a
+// packet def or an unknown value smashes every field) and Top otherwise.
 //
 // Clients:
 //   - lint NF204 (unreachable arm) / NF207 (invalid send port), with
@@ -32,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/def_use.h"
 #include "ir/ir.h"
 #include "lang/ast.h"
 
@@ -128,24 +133,14 @@ class ConstProp {
     bool operator==(const Cell& o) const { return kind == o.kind && v == o.v; }
   };
 
-  /// A node's writes as location ids. `target` (kAssign/kFieldStore)
-  /// takes the node's evaluated value; `bottom` goes to Bottom; ids in
-  /// [smash_lo, smash_hi) — the target variable's tracked fields — go to
-  /// Bottom only where they are already defined (not Top).
-  struct NodeDefs {
-    int target = -1;
-    std::vector<int> bottom;
-    int smash_lo = 0;
-    int smash_hi = 0;
-  };
-
-  void build_location_table(const ConstEnv& entry_env);
-  int loc_id(const ir::Location& loc) const;  // -1: never tracked
+  std::size_t width() const {
+    return static_cast<std::size_t>(du_.num_locs());
+  }
   Cell* row(int node) {
-    return in_.data() + static_cast<std::size_t>(node) * locs_.size();
+    return in_.data() + static_cast<std::size_t>(node) * width();
   }
   const Cell* row(int node) const {
-    return in_.data() + static_cast<std::size_t>(node) * locs_.size();
+    return in_.data() + static_cast<std::size_t>(node) * width();
   }
   Cell to_cell(const ConstVal& v);
   ConstVal to_val(const Cell& c) const;
@@ -156,11 +151,11 @@ class ConstProp {
   bool merge_into(int node, const Cell* src);
 
   const ir::Cfg& cfg_;
-  std::vector<ir::Location> locs_;  // sorted; a location's id is its index
-  std::vector<NodeDefs> defs_;
+  DefUse du_;
+  ConstEnv unmentioned_seeds_;  // seeds the CFG never reads or writes
   std::vector<std::string> strs_;
   std::map<std::string, std::int64_t> str_ids_;
-  std::vector<Cell> in_;       // cfg_.size() rows of locs_.size() cells
+  std::vector<Cell> in_;       // cfg_.size() rows of width() cells
   std::vector<Cell> scratch_;  // one row, reused by every transfer
   std::vector<bool> exec_;
   std::vector<std::vector<bool>> edge_exec_;

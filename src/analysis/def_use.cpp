@@ -9,13 +9,27 @@ int DefUse::find_var(std::string_view name) const {
   return it == var_ids_.end() ? -1 : it->second;
 }
 
-int DefUse::var_id(std::string_view name) {
-  const auto [it, fresh] = var_ids_.try_emplace(name, num_vars());
-  if (fresh) vars_.push_back({name});
-  return it->second;
+int DefUse::find_loc(std::string_view name) const {
+  const auto dot = name.find('.');
+  const int v = find_var(name.substr(0, dot));
+  if (v < 0) return -1;
+  if (dot == std::string_view::npos) return whole_loc(v);
+  const std::string_view field = name.substr(dot + 1);
+  for (int id = first_field(v); id >= 0; id = loc(id).next_field) {
+    if (loc(id).field_name == field) return id;
+  }
+  return -1;
 }
 
-int DefUse::whole_loc(std::string_view name) {
+int DefUse::var_id(std::string_view name) {
+  if (const int v = find_var(name); v >= 0) return v;
+  name = own(name);
+  var_ids_.emplace(name, num_vars());
+  vars_.push_back({name});
+  return num_vars() - 1;
+}
+
+int DefUse::intern_whole(std::string_view name) {
   const int v = var_id(name);
   int& id = vars_[static_cast<std::size_t>(v)].whole_loc;
   if (id < 0) {
@@ -25,19 +39,19 @@ int DefUse::whole_loc(std::string_view name) {
   return id;
 }
 
-int DefUse::field_loc(std::string_view name, std::string_view field) {
+int DefUse::intern_field(std::string_view name, std::string_view field) {
   const int v = var_id(name);
   int& first = vars_[static_cast<std::size_t>(v)].first_field;
   for (int id = first; id >= 0; id = loc(id).next_field) {
     if (loc(id).field_name == field) return id;
   }
-  locs_.push_back({v, true, field, first});
+  locs_.push_back({v, true, own(field), first});
   first = static_cast<int>(locs_.size()) - 1;
   return first;
 }
 
 int DefUse::loc_id(std::string_view var, std::string_view field) {
-  return field.empty() ? whole_loc(var) : field_loc(var, field);
+  return field.empty() ? intern_whole(var) : intern_field(var, field);
 }
 
 // A location written twice by one node is one def, strong if either

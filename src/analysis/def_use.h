@@ -13,11 +13,14 @@
 //
 // The table is built from ir::for_each_use/for_each_def, the walkers
 // ir::Instr::uses() and defs() are built on, so static slicing, dynamic
-// slicing and lint read and write the same locations.
+// slicing, SCCP, liveness and lint read and write the same locations.
+// It is the one place locations become ids.
 //
-// The table keeps views into the CFG's strings; the CFG must outlive it.
+// The table owns a copy of each name, so a client may rewrite the CFG's
+// expressions while it holds the table (simplify folds under SCCP).
 #pragma once
 
+#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +34,8 @@ namespace nfactor::analysis {
 class DefUse {
  public:
   explicit DefUse(const ir::Cfg& cfg);
+  DefUse(const DefUse&) = delete;  // its views point into names_
+  DefUse& operator=(const DefUse&) = delete;
 
   struct Loc {
     int var;
@@ -51,6 +56,20 @@ class DefUse {
   /// Variable id of `name`, or -1 when the CFG never reads or writes it.
   int find_var(std::string_view name) const;
 
+  /// The location id of variable `v` read or written whole, or -1 when
+  /// the CFG never does.
+  int whole_loc(int v) const {
+    return vars_[static_cast<std::size_t>(v)].whole_loc;
+  }
+  /// Head of `v`'s list of field locations (follow Loc::next_field), or -1.
+  int first_field(int v) const {
+    return vars_[static_cast<std::size_t>(v)].first_field;
+  }
+  /// Location id of `name` ("var" or "var.field"), or -1 when the CFG
+  /// never mentions it.
+  int find_loc(std::string_view name) const;
+
+  int num_locs() const { return static_cast<int>(locs_.size()); }
   const Loc& loc(int id) const { return locs_[static_cast<std::size_t>(id)]; }
   int var_of(int loc_id) const { return loc(loc_id).var; }
   bool alias(int a, int b) const {
@@ -85,9 +104,10 @@ class DefUse {
     return {items.data() + b, e - b};
   }
 
+  std::string_view own(std::string_view s) { return names_.emplace_back(s); }
   int var_id(std::string_view name);
-  int whole_loc(std::string_view name);
-  int field_loc(std::string_view name, std::string_view field);
+  int intern_whole(std::string_view name);
+  int intern_field(std::string_view name, std::string_view field);
   int loc_id(std::string_view var, std::string_view field);
   void add_def(int node, int loc, bool strong);
 
@@ -96,6 +116,7 @@ class DefUse {
     int whole_loc = -1;    // -1 until the variable is read or written whole
     int first_field = -1;  // head of its field locations' list
   };
+  std::deque<std::string> names_;  // stable storage behind every view
   std::vector<Var> vars_;
   std::unordered_map<std::string_view, int> var_ids_;
   std::vector<Loc> locs_;

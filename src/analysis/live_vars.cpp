@@ -1,60 +1,32 @@
 #include "analysis/live_vars.h"
 
-#include <deque>
-
-#include "analysis/reaching_defs.h"
-
 namespace nfactor::analysis {
 
-LiveVars::LiveVars(const ir::Cfg& cfg) {
-  for (const auto& n : cfg.nodes) {
-    in_[n->id] = {};
-    out_[n->id] = {};
-  }
-
-  std::deque<int> work;
-  std::vector<char> queued(cfg.size(), 1);
-  // Seed in reverse order for fast convergence.
-  for (auto it = cfg.nodes.rbegin(); it != cfg.nodes.rend(); ++it) {
-    work.push_back((*it)->id);
-  }
-
-  while (!work.empty()) {
-    const int u = work.front();
-    work.pop_front();
-    queued[static_cast<std::size_t>(u)] = 0;
-
-    std::set<ir::Location>& out = out_[u];
-    for (const int s : cfg.node(u).succs) {
-      if (s < 0) continue;
-      const auto& sin = in_[s];
-      out.insert(sin.begin(), sin.end());
-    }
-
-    // in = uses ∪ (out − strong defs)
-    std::set<ir::Location> in = cfg.node(u).uses();
-    for (const auto& loc : out) {
-      bool killed = false;
-      for (const auto& d : cfg.node(u).defs()) {
-        if (cfg.node(u).is_strong_def(d) && locations_alias(d, loc) &&
-            d == loc) {
-          killed = true;
-          break;
-        }
-      }
-      if (!killed) in.insert(loc);
-    }
-
-    if (in != in_[u]) {
-      in_[u] = std::move(in);
-      for (const int p : cfg.node(u).preds) {
-        if (!queued[static_cast<std::size_t>(p)]) {
-          queued[static_cast<std::size_t>(p)] = 1;
-          work.push_back(p);
-        }
+// live_in = uses + (live_out - strong defs): a strong def kills only its
+// own location, so a whole-variable assign leaves its fields live.
+LiveVars::LiveVars(const ir::Cfg& cfg) : du_(cfg) {
+  const auto transfer = [this](int node, std::uint64_t* row) {
+    for (int d = du_.first_def(node); d < du_.last_def(node); ++d) {
+      if (du_.def(d).strong) {
+        BitRows::reset(row, static_cast<std::size_t>(du_.def(d).loc));
       }
     }
+    for (const int u : du_.uses(node)) {
+      BitRows::set(row, static_cast<std::size_t>(u));
+    }
+  };
+  flow_ = solve(cfg, Direction::kBackward, Meet::kUnion,
+                static_cast<std::size_t>(du_.num_locs()), transfer);
+}
+
+bool LiveVars::var_live_out(int node, std::string_view var) const {
+  const int v = du_.find_var(var);
+  if (v < 0) return false;
+  if (live(flow_.in, node, du_.whole_loc(v))) return true;
+  for (int f = du_.first_field(v); f >= 0; f = du_.loc(f).next_field) {
+    if (live(flow_.in, node, f)) return true;
   }
+  return false;
 }
 
 }  // namespace nfactor::analysis

@@ -1,7 +1,6 @@
 #include "analysis/reaching_defs.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace nfactor::analysis {
 
@@ -16,15 +15,12 @@ bool locations_alias(const ir::Location& def_loc, const ir::Location& use_loc) {
 }
 
 ReachingDefs::ReachingDefs(const ir::Cfg& cfg) : du_(cfg) {
-  const std::size_t nodes = cfg.size();
-  const std::size_t nd = du_.num_defs();
-
   // Kill rows. A strong def of `loc` kills the other defs of `loc` and,
   // when `loc` is a whole variable, the defs of its fields (pkt = recv()
   // kills pkt.ip_src := ...); both are among its variable's defs.
-  std::vector<int> kill_begin(nodes + 1, 0);
+  std::vector<int> kill_begin(cfg.size() + 1, 0);
   std::vector<int> kills;
-  for (std::size_t n = 0; n < nodes; ++n) {
+  for (std::size_t n = 0; n < cfg.size(); ++n) {
     const int node = static_cast<int>(n);
     for (int s = du_.first_def(node); s < du_.last_def(node); ++s) {
       const DefUse::Def& sd = du_.def(s);
@@ -41,52 +37,19 @@ ReachingDefs::ReachingDefs(const ir::Cfg& cfg) : du_(cfg) {
     kill_begin[n + 1] = static_cast<int>(kills.size());
   }
 
-  // Worklist fixpoint: OUT = (IN - kill) + gen, gen being the node's own
-  // def range.
-  in_ = BitRows(nodes, nd);
-  BitRows out(nodes, nd);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const int node = static_cast<int>(n);
-    for (int d = du_.first_def(node); d < du_.last_def(node); ++d) {
-      BitRows::set(out.row(n), static_cast<std::size_t>(d));
-    }
-  }
-  std::deque<int> work;
-  std::vector<char> queued(nodes, 1);
-  for (const auto& n : cfg.nodes) work.push_back(n->id);
-
-  const std::size_t words = in_.words();
-  std::vector<std::uint64_t> next(words);
-  while (!work.empty()) {
-    const int u = work.front();
-    work.pop_front();
-    const auto ui = static_cast<std::size_t>(u);
-    queued[ui] = 0;
-
-    std::uint64_t* in = in_.row(ui);
-    for (const int p : cfg.node(u).preds) {
-      const std::uint64_t* po = out.row(static_cast<std::size_t>(p));
-      for (std::size_t w = 0; w < words; ++w) in[w] |= po[w];
-    }
-    std::copy(in, in + words, next.begin());
-    for (int k = kill_begin[ui]; k < kill_begin[ui + 1]; ++k) {
-      BitRows::reset(next.data(),
+  // OUT = (IN - kill) + gen, gen being the node's own def range.
+  const auto transfer = [&](int node, std::uint64_t* row) {
+    const auto n = static_cast<std::size_t>(node);
+    for (int k = kill_begin[n]; k < kill_begin[n + 1]; ++k) {
+      BitRows::reset(row,
                      static_cast<std::size_t>(kills[static_cast<std::size_t>(k)]));
     }
-    for (int d = du_.first_def(u); d < du_.last_def(u); ++d) {
-      BitRows::set(next.data(), static_cast<std::size_t>(d));
+    for (int d = du_.first_def(node); d < du_.last_def(node); ++d) {
+      BitRows::set(row, static_cast<std::size_t>(d));
     }
-    std::uint64_t* uo = out.row(ui);
-    if (!std::equal(next.begin(), next.end(), uo)) {
-      std::copy(next.begin(), next.end(), uo);
-      for (const int s : cfg.node(u).succs) {
-        if (s >= 0 && !queued[static_cast<std::size_t>(s)]) {
-          queued[static_cast<std::size_t>(s)] = 1;
-          work.push_back(s);
-        }
-      }
-    }
-  }
+  };
+  in_ = solve(cfg, Direction::kForward, Meet::kUnion, du_.num_defs(), transfer)
+            .in;
 }
 
 std::set<int> ReachingDefs::reaching_def_nodes(int node,

@@ -7,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "analysis/bitset.h"
+#include "analysis/dataflow.h"
 #include "analysis/def_use.h"
 #include "ir/ir.h"
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 
+#include "analysis/dataflow.h"
 #include "analysis/reaching_defs.h"
 #include "lang/lexer.h"
 
@@ -30,84 +31,40 @@ bool compiler_generated(const std::string& var) {
 }  // namespace
 
 // NF201: a non-persistent variable may be read before any assignment
-// reaches the read. Forward definite-assignment (must) analysis: a
-// variable is safe at a node only when every CFG path to it contains a
-// strong whole-variable def.
+// reaches the read. Forward definite assignment over the def/use table's
+// variable ids, met by intersection: a variable is safe at a node only
+// when every CFG path to it contains a strong whole-variable def.
 void check_use_before_init(const CheckContext& ctx) {
   const ir::Cfg& cfg = ctx.m.body;
+  const analysis::DefUse& du = ctx.pdg.def_use();
   const auto tracked = [&](const std::string& v) {
     return ctx.m.persistent.count(v) == 0 && v != ctx.m.pkt_var;
   };
 
-  // Universe of tracked variables (for the must-lattice top).
-  std::set<std::string> universe;
-  for (const auto& n : cfg.nodes) {
-    for (const auto& u : n->uses()) {
-      if (tracked(base_of(u))) universe.insert(base_of(u));
-    }
-    for (const auto& d : n->defs()) {
-      if (tracked(base_of(d))) universe.insert(base_of(d));
-    }
-  }
-
-  const auto gen = [&](const ir::Instr& n) -> const std::string* {
-    // Strong whole-variable defs initialize; pop()'s result is always
-    // assigned too. Container element stores do not initialize the
-    // container.
-    switch (n.kind) {
-      case ir::InstrKind::kAssign:
-      case ir::InstrKind::kRecv:
-        return &n.var;
-      case ir::InstrKind::kCall:
-        return n.var.empty() ? nullptr : &n.var;
-      default:
-        return nullptr;
+  // Strong whole-variable defs initialize; pop()'s result is always
+  // assigned too. Container element stores do not initialize the
+  // container.
+  const auto transfer = [&](int node, std::uint64_t* row) {
+    const ir::Instr& n = cfg.node(node);
+    if (n.kind == ir::InstrKind::kAssign || n.kind == ir::InstrKind::kRecv ||
+        (n.kind == ir::InstrKind::kCall && !n.var.empty())) {
+      analysis::BitRows::set(row, static_cast<std::size_t>(du.find_var(n.var)));
     }
   };
-
-  std::map<int, std::set<std::string>> in;
-  std::map<int, std::set<std::string>> out;
-  for (const auto& n : cfg.nodes) {
-    in[n->id] = universe;
-    out[n->id] = universe;
-  }
-  in[cfg.entry].clear();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& n : cfg.nodes) {
-      const int id = n->id;
-      std::set<std::string> nin;
-      if (id == cfg.entry) {
-        // nothing assigned yet
-      } else if (n->preds.empty()) {
-        nin = universe;  // unreachable: vacuously all-assigned
-      } else {
-        nin = out[n->preds[0]];
-        for (std::size_t i = 1; i < n->preds.size(); ++i) {
-          const auto& po = out[n->preds[i]];
-          for (auto it = nin.begin(); it != nin.end();) {
-            it = po.count(*it) ? std::next(it) : nin.erase(it);
-          }
-        }
-      }
-      std::set<std::string> nout = nin;
-      if (const std::string* g = gen(*n); g != nullptr && tracked(*g)) {
-        nout.insert(*g);
-      }
-      if (nin != in[id] || nout != out[id]) {
-        in[id] = std::move(nin);
-        out[id] = std::move(nout);
-        changed = true;
-      }
-    }
-  }
+  const analysis::BitRows assigned =
+      analysis::solve(cfg, analysis::Direction::kForward,
+                      analysis::Meet::kIntersect,
+                      static_cast<std::size_t>(du.num_vars()), transfer)
+          .in;
 
   std::set<std::string> reported;
   for (const auto& n : cfg.nodes) {
+    const std::uint64_t* in = assigned.row(static_cast<std::size_t>(n->id));
     for (const auto& u : n->uses()) {
       const std::string v = base_of(u);
-      if (!tracked(v) || in[n->id].count(v) || !reported.insert(v).second) {
+      const auto id = static_cast<std::size_t>(du.find_var(v));
+      if (!tracked(v) || analysis::BitRows::test(in, id) ||
+          !reported.insert(v).second) {
         continue;
       }
       ctx.sink.report(n->loc, lang::Severity::kWarning, "NF201",
@@ -127,11 +84,7 @@ void check_dead_store(const CheckContext& ctx) {
         compiler_generated(v)) {
       continue;
     }
-    const auto& live = ctx.live.live_out(n->id);
-    const bool is_live = std::any_of(
-        live.begin(), live.end(),
-        [&](const ir::Location& l) { return analysis::locations_alias(v, l); });
-    if (!is_live) {
+    if (!ctx.live.var_live_out(n->id, v)) {
       ctx.sink.report(n->loc, lang::Severity::kWarning, "NF202",
                       "dead store: the value assigned to '" + v +
                           "' is never read");

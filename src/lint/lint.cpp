@@ -43,25 +43,34 @@ void run_checks(const ir::Module& m, lang::DiagnosticSink& sink) {
   obs::Span sp(obs::default_tracer(), "lint.run_checks");
   sp.attr("nf", m.name);
 
-  analysis::Pdg pdg(m.body);
+  // One child span per analysis the checks read, and one for the checks.
+  obs::Span deps(obs::default_tracer(), "lint.pdg");
+  const analysis::Pdg pdg(m.body);
   const statealyzer::Result cats = statealyzer::analyze(m, pdg);
+  deps.close_ms();
+
+  obs::Span liveness(obs::default_tracer(), "lint.liveness");
   const analysis::LiveVars live(m.body);
+  liveness.close_ms();
 
   // Config-agnostic lattice: every persistent is opaque (Bottom), so a
   // "dead" arm is dead for every possible configuration.
+  obs::Span sccp(obs::default_tracer(), "lint.sccp");
   analysis::ConstEnv env_any;
   for (const auto& v : m.persistent) env_any[v] = analysis::ConstVal::bottom();
   for (const auto& g : m.globals) env_any[g.name] = analysis::ConstVal::bottom();
-  const analysis::ConstProp cp(m.body, std::move(env_any));
+  const analysis::ConstProp cp(m.body, env_any);
+  sccp.close_ms();
 
   // Config-specific lattice: config scalars take their initializer
   // constants (what simplify's fold_config uses).
-  analysis::ConstEnv env_cfg;
-  for (const auto& v : m.persistent) env_cfg[v] = analysis::ConstVal::bottom();
-  for (const auto& g : m.globals) env_cfg[g.name] = analysis::ConstVal::bottom();
+  obs::Span sccp_cfg(obs::default_tracer(), "lint.sccp_config");
+  analysis::ConstEnv env_cfg = std::move(env_any);
   for (auto& [k, v] : config_env(m)) env_cfg[k] = v;
   const analysis::ConstProp cp_cfg(m.body, std::move(env_cfg));
+  sccp_cfg.close_ms();
 
+  obs::Span checks_span(obs::default_tracer(), "lint.checks");
   const CheckContext ctx{m, pdg, cats, live, cp, cp_cfg, sink};
   check_use_before_init(ctx);
   check_dead_store(ctx);
@@ -72,6 +81,7 @@ void run_checks(const ir::Module& m, lang::DiagnosticSink& sink) {
   check_invalid_send_port(ctx);
   check_duplicate_arm(ctx);
   check_vacuous_model(ctx);
+  checks_span.close_ms();
 
   OBS_GAUGE("lint.diags", sink.size());
   sp.attr("diags", static_cast<std::int64_t>(sink.size()));

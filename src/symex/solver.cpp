@@ -100,40 +100,47 @@ class Checker {
     ids_.emplace(e, id);
     terms_.push_back({});
     terms_.back().uf_parent = id;
-    seed_width_bounds(e, id);
+    if (const Int hi = intrinsic_max(e); hi >= 0) {
+      terms_.back().lo = 0;
+      terms_.back().hi = hi;
+    }
     return id;
   }
 
-  /// Intrinsic bounds a fresh term carries: packet header fields have
-  /// known widths (pkt.dport > 70000 is unsatisfiable), independent of
-  /// any explicit constraint.
-  void seed_width_bounds(const SymRef& e, int id) {
+  /// The largest value a term can take whatever the constraints say, the
+  /// smallest being 0, or -1 for a full-range term. Packet header fields
+  /// have known widths (pkt.dport > 70000 is unsatisfiable), `x % c` lies
+  /// in [0, c-1] for c > 0 (DSL modulo takes the divisor's sign) and
+  /// `x & m` in [0, m] for m >= 0.
+  static Int intrinsic_max(const SymRef& e) {
+    if (e->kind == SymKind::kBin && e->bin_op == BinOp::kMod &&
+        is_const_int(e->operands[1]) && e->operands[1]->int_val > 0) {
+      return e->operands[1]->int_val - 1;
+    }
+    if (e->kind == SymKind::kBin && e->bin_op == BinOp::kBitAnd) {
+      for (const SymRef& m : e->operands) {
+        if (is_const_int(m) && m->int_val >= 0) return m->int_val;
+      }
+      return -1;
+    }
     // Packet fields are kVar terms named "pkt.<field>" (or
     // "pktN.<field>" in multi-packet sequences).
-    if (e->kind != SymKind::kVar) return;
-    const std::string& name = e->str_val;
+    static const std::map<std::string, Int, std::less<>> kFieldMax = {
+        {"sport", 0xFFFF},         {"dport", 0xFFFF},
+        {"eth_type", 0xFFFF},      {"ip_id", 0xFFFF},
+        {"tcp_win", 0xFFFF},       {"len", 0xFFFF},
+        {"ip_proto", 0xFF},        {"ip_ttl", 0xFF},
+        {"ip_tos", 0xFF},          {"tcp_flags", 0xFF},
+        {"in_port", 0xFF},         {"ip_src", 0xFFFFFFFF},
+        {"ip_dst", 0xFFFFFFFF},    {"tcp_seq", 0xFFFFFFFF},
+        {"tcp_ack", 0xFFFFFFFF},   {"eth_src", 0xFFFFFFFFFFFF},
+        {"eth_dst", 0xFFFFFFFFFFFF}};
+    if (e->kind != SymKind::kVar) return -1;
+    const std::string_view name = e->str_val;
     const auto dot = name.find('.');
-    if (dot == std::string::npos || name.compare(0, 3, "pkt") != 0) return;
-    const std::string field = name.substr(dot + 1);
-    TermState& ts = terms_[static_cast<std::size_t>(id)];
-    auto bound = [&ts](Int lo, Int hi) {
-      ts.lo = lo;
-      ts.hi = hi;
-    };
-    if (field == "sport" || field == "dport" || field == "eth_type" ||
-        field == "ip_id" || field == "tcp_win" || field == "len") {
-      bound(0, 65535);
-    } else if (field == "ip_proto" || field == "ip_ttl" ||
-               field == "ip_tos" || field == "tcp_flags") {
-      bound(0, 255);
-    } else if (field == "ip_src" || field == "ip_dst" ||
-               field == "tcp_seq" || field == "tcp_ack") {
-      bound(0, 0xFFFFFFFFLL);
-    } else if (field == "in_port") {
-      bound(0, 255);
-    } else if (field == "eth_src" || field == "eth_dst") {
-      bound(0, 0xFFFFFFFFFFFFLL);
-    }
+    if (dot == std::string_view::npos || name.substr(0, 3) != "pkt") return -1;
+    const auto it = kFieldMax.find(name.substr(dot + 1));
+    return it == kFieldMax.end() ? -1 : it->second;
   }
 
   int find(int x) {
@@ -210,9 +217,13 @@ class Checker {
       }
     }
 
-    // Opaque boolean atom (Contains, uninterpreted call, residual Or...).
-    // Polarity conflicts are detected on node identity: same atom under
-    // both polarities is unsatisfiable.
+    return add_atom(e, polarity);
+  }
+
+  // Opaque boolean atom (Contains, uninterpreted call, residual Or...).
+  // Polarity conflicts are detected on node identity: same atom under
+  // both polarities is unsatisfiable.
+  bool add_atom(const SymRef& e, bool polarity) {
     const auto it = bool_atoms_.find(e);
     if (it != bool_atoms_.end() && it->second != polarity) return false;
     bool_atoms_.emplace(e, polarity);
@@ -233,7 +244,10 @@ class Checker {
   }
 
   /// (term, offset) view of an int expression: expr = term + offset, or
-  /// pure constant (term = nullptr).
+  /// pure constant (term = nullptr). The DSL's `+` and `-` wrap, so the
+  /// view keeps `e` whole, as an opaque term, wherever the sum could
+  /// wrap: when the offsets overflow, or when a term of finite range
+  /// would leave int64. A full-range term is still read as unbounded.
   struct Linear {
     SymRef term;  // the term node itself; null for pure constants
     Int offset = 0;
@@ -241,37 +255,24 @@ class Checker {
 
   Linear linearize(const SymRef& e) {
     if (is_const_int(e)) return {nullptr, e->int_val};
-    if (e->kind == SymKind::kBin &&
-        (e->bin_op == BinOp::kAdd || e->bin_op == BinOp::kSub)) {
-      const Linear a = linearize(e->operands[0]);
-      const Linear b = linearize(e->operands[1]);
-      if (e->bin_op == BinOp::kAdd) {
-        if (!a.term) return {b.term, a.offset + b.offset};
-        if (!b.term) return {a.term, a.offset + b.offset};
-      } else {
-        if (!b.term) return {a.term, a.offset - b.offset};
-      }
-    }
-    // Modulo by a positive constant: the term's value is intrinsically
-    // within [0, c-1] (DSL modulo takes the divisor's sign).
-    if (e->kind == SymKind::kBin && e->bin_op == BinOp::kMod &&
-        is_const_int(e->operands[1]) && e->operands[1]->int_val > 0) {
-      const int t = term_id(e);
-      narrow(t, 0, e->operands[1]->int_val - 1);
+    if (e->kind != SymKind::kBin ||
+        (e->bin_op != BinOp::kAdd && e->bin_op != BinOp::kSub)) {
       return {e, 0};
     }
-    // Bitwise AND with a constant mask is bounded by the mask.
-    if (e->kind == SymKind::kBin && e->bin_op == BinOp::kBitAnd) {
-      for (int side = 0; side < 2; ++side) {
-        const SymRef& m = e->operands[static_cast<std::size_t>(side)];
-        if (is_const_int(m) && m->int_val >= 0) {
-          const int t = term_id(e);
-          narrow(t, 0, m->int_val);
-          break;
-        }
-      }
+    const Linear a = linearize(e->operands[0]);
+    const Linear b = linearize(e->operands[1]);
+    const bool add = e->bin_op == BinOp::kAdd;
+    if ((a.term && b.term) || (!add && b.term)) return {e, 0};
+    Int off = 0;
+    if (add ? __builtin_add_overflow(a.offset, b.offset, &off)
+            : __builtin_sub_overflow(a.offset, b.offset, &off)) {
+      return {e, 0};
     }
-    return {e, 0};
+    const SymRef& term = a.term ? a.term : b.term;
+    const Int hi = term ? intrinsic_max(term) : -1;
+    Int top = 0;
+    if (hi >= 0 && __builtin_add_overflow(hi, off, &top)) return {e, 0};
+    return {term, off};
   }
 
   bool add_cmp(const SymRef& e, bool polarity) {
@@ -344,7 +345,11 @@ class Checker {
 
     // term + off OP const
     const SymRef& term = a.term ? a.term : b.term;
-    Int c = a.term ? b.offset - a.offset : a.offset - b.offset;
+    Int c = 0;
+    if (a.term ? __builtin_sub_overflow(b.offset, a.offset, &c)
+               : __builtin_sub_overflow(a.offset, b.offset, &c)) {
+      return add_atom(e, polarity);  // the bound itself leaves int64
+    }
     BinOp eff = op;
     if (!a.term) {
       // const OP term  ->  term OP' const

@@ -250,8 +250,8 @@ TEST(LiveVars, UsedValueIsLiveBeforeUse) {
   for (const auto& n : m.body.nodes) {
     if (n->kind == ir::InstrKind::kAssign && n->var == "x") def = n->id;
   }
-  EXPECT_TRUE(lv.live_out(def).count("x"));
-  EXPECT_FALSE(lv.live_in(def).count("x"));
+  EXPECT_TRUE(lv.live_out(def, "x"));
+  EXPECT_FALSE(lv.live_in(def, "x"));
 }
 
 TEST(LiveVars, DeadStoreIsNotLive) {
@@ -261,7 +261,7 @@ TEST(LiveVars, DeadStoreIsNotLive) {
   for (const auto& n : m.body.nodes) {
     if (n->kind == ir::InstrKind::kAssign && n->var == "dead") def = n->id;
   }
-  EXPECT_FALSE(lv.live_out(def).count("dead"));
+  EXPECT_FALSE(lv.live_out(def, "dead"));
 }
 
 TEST(LiveVars, LoopCarriedVariableStaysLive) {
@@ -270,7 +270,7 @@ TEST(LiveVars, LoopCarriedVariableStaysLive) {
   const LiveVars lv(m.body);
   for (const auto& n : m.body.nodes) {
     if (n->kind == ir::InstrKind::kBranch) {
-      EXPECT_TRUE(lv.live_in(n->id).count("i"));
+      EXPECT_TRUE(lv.live_in(n->id, "i"));
     }
   }
 }

@@ -1,8 +1,8 @@
 // The DSL's integer semantics (lang/int_ops.h) on edge operands, and the
 // agreement of every evaluator with it: the symbolic folder, the model
 // evaluator, SCCP, the dataplane stack machine, and — on
-// tests/fixtures/int_edges.nf — the runtime against the model
-// (differential test) and the model against the compiled engine.
+// tests/fixtures/int_edges.nf and solver_wrap.nf — the runtime against
+// the model (differential test) and the model against the compiled engine.
 #include "lang/int_ops.h"
 
 #include <gtest/gtest.h>
@@ -215,20 +215,20 @@ std::vector<netsim::Packet> ttl_packets() {
   return out;
 }
 
-class IntEdgesFixture : public ::testing::TestWithParam<bool> {};
-
-TEST_P(IntEdgesFixture, RuntimeModelAndEngineAgree) {
+/// Synthesizes `fixture` (with or without simplification and config
+/// folding) and checks that the runtime, the model (differential test),
+/// ModelInterpreter and the compiled engine all send packets with
+/// ip_ttl 0, 1 and 255 on `ports`.
+void expect_ttl_ports_agree(const std::string& fixture,
+                            const std::vector<int>& ports, bool simplify) {
   pipeline::PipelineOptions opts;
-  opts.simplify.enabled = GetParam();
-  opts.simplify.fold_config = GetParam();
-  const auto r =
-      pipeline::run_source(read_fixture("int_edges.nf"), "int_edges", opts);
+  opts.simplify.enabled = simplify;
+  opts.simplify.fold_config = simplify;
+  const auto r = pipeline::run_source(read_fixture(fixture), fixture, opts);
   ASSERT_FALSE(r.degraded());
   const auto packets = ttl_packets();
 
-  // The fixture's own comment: ttl 0, 1, 255 send on ports 2, 4, 3.
   runtime::Interpreter rt(*r.module);
-  const std::vector<int> ports = {2, 4, 3};
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const runtime::Output out = rt.process(packets[i]);
     ASSERT_EQ(out.sent.size(), 1u) << "packet " << i;
@@ -258,6 +258,19 @@ TEST_P(IntEdgesFixture, RuntimeModelAndEngineAgree) {
       EXPECT_EQ(b.sent[0].second, ports[i]) << "packet " << i;
     }
   }
+}
+
+class IntEdgesFixture : public ::testing::TestWithParam<bool> {};
+
+// The fixture's own comment: ttl 0, 1, 255 send on ports 2, 4, 3.
+TEST_P(IntEdgesFixture, RuntimeModelAndEngineAgree) {
+  expect_ttl_ports_agree("int_edges.nf", {2, 4, 3}, GetParam());
+}
+
+// The solver keeps `pkt.ip_ttl + MAX` opaque because it wraps, so the
+// model keeps every send: ttl 0, 1, 255 on ports 2, 1, 3.
+TEST_P(IntEdgesFixture, SolverWrapFixtureKeepsEverySend) {
+  expect_ttl_ports_agree("solver_wrap.nf", {2, 1, 3}, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Simplify, IntEdgesFixture, ::testing::Bool());

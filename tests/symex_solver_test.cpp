@@ -286,6 +286,56 @@ TEST(Solver, MaskResultBounds) {
             SatResult::kUnsat);
 }
 
+TEST(Solver, FiniteRangeTermPlusOffsetThatWrapsStaysOpaque) {
+  // The DSL's + wraps: pkt.ip_ttl + MAX is negative for every ttl >= 1,
+  // so neither sign of the sum may be refuted.
+  const SymRef kMax = make_int(INT64_MAX);
+  const SymRef ttl = v("pkt.ip_ttl");
+  const SymRef sum = make_bin(BinOp::kAdd, ttl, kMax);
+  EXPECT_EQ(check({make_bin(BinOp::kLt, sum, make_int(0))}), SatResult::kSat);
+  EXPECT_EQ(check({make_bin(BinOp::kGe, sum, make_int(0))}), SatResult::kSat);
+  // Constant on the left, and the same for `% c` and `& mask` terms.
+  EXPECT_EQ(check({make_bin(BinOp::kGt, make_int(0),
+                            make_bin(BinOp::kAdd, kMax, ttl))}),
+            SatResult::kSat);
+  const SymRef m4 = make_bin(BinOp::kMod, v("x"), make_int(4));
+  EXPECT_EQ(check({make_bin(BinOp::kLt, make_bin(BinOp::kAdd, m4, kMax),
+                            make_int(0))}),
+            SatResult::kSat);
+  const SymRef masked = make_bin(BinOp::kBitAnd, ttl, make_int(128));
+  EXPECT_EQ(check({make_bin(BinOp::kLt, make_bin(BinOp::kAdd, masked, kMax),
+                            make_int(0))}),
+            SatResult::kSat);
+  // Subtracting past INT64_MIN wraps the same way.
+  const SymRef kMin = make_int(INT64_MIN);
+  const SymRef below = make_bin(BinOp::kSub, make_bin(BinOp::kAdd, ttl, kMin),
+                                make_int(1));
+  EXPECT_EQ(check({make_bin(BinOp::kGt, below, make_int(0))}),
+            SatResult::kSat);
+  // Offsets that stay inside int64 for the whole range are still exact.
+  const SymRef near = make_bin(BinOp::kAdd, ttl, make_int(INT64_MAX - 255));
+  EXPECT_EQ(check({make_bin(BinOp::kLt, near, make_int(0))}),
+            SatResult::kUnsat);
+}
+
+TEST(Solver, OverflowingOffsetSumsAreDeclined) {
+  // (ttl + MAX) + MAX wraps to ttl - 2: the offsets' sum leaves int64, so
+  // the solver keeps the expression opaque instead of adding them.
+  const SymRef kMax = make_int(INT64_MAX);
+  const SymRef x = v("x");
+  const SymRef twice =
+      make_bin(BinOp::kAdd, make_bin(BinOp::kAdd, x, kMax), kMax);
+  EXPECT_EQ(check({make_bin(BinOp::kEq, twice, make_int(5)),
+                   make_bin(BinOp::kEq, x, make_int(7))}),
+            SatResult::kSat);
+  // A bound that leaves int64 (x - 1 < MAX, i.e. x < MAX + 1) is no
+  // constraint on x.
+  EXPECT_EQ(check({make_bin(BinOp::kLt, make_bin(BinOp::kSub, x, make_int(1)),
+                            kMax),
+                   make_bin(BinOp::kEq, x, kMax)}),
+            SatResult::kSat);
+}
+
 TEST(Solver, QueryCountIncrements) {
   Solver s;
   s.check({make_bool(true)});
