@@ -22,57 +22,7 @@ using runtime::Value;
 using symex::SymKind;
 using symex::SymRef;
 
-Int mac_to_int(const netsim::MacAddr& m) {
-  Int out = 0;
-  for (int i = 0; i < 6; ++i) out = out << 8 | m[static_cast<std::size_t>(i)];
-  return out;
-}
-
 }  // namespace
-
-std::optional<PacketField> packet_field_from_name(std::string_view name) {
-  if (name == "eth_src") return PacketField::kEthSrc;
-  if (name == "eth_dst") return PacketField::kEthDst;
-  if (name == "eth_type") return PacketField::kEthType;
-  if (name == "ip_src") return PacketField::kIpSrc;
-  if (name == "ip_dst") return PacketField::kIpDst;
-  if (name == "ip_proto") return PacketField::kIpProto;
-  if (name == "ip_ttl") return PacketField::kIpTtl;
-  if (name == "ip_id") return PacketField::kIpId;
-  if (name == "ip_tos") return PacketField::kIpTos;
-  if (name == "sport") return PacketField::kSport;
-  if (name == "dport") return PacketField::kDport;
-  if (name == "tcp_flags") return PacketField::kTcpFlags;
-  if (name == "tcp_seq") return PacketField::kTcpSeq;
-  if (name == "tcp_ack") return PacketField::kTcpAck;
-  if (name == "tcp_win") return PacketField::kTcpWin;
-  if (name == "len") return PacketField::kLen;
-  if (name == "in_port") return PacketField::kInPort;
-  return std::nullopt;
-}
-
-runtime::Int read_packet_field(const netsim::Packet& p, PacketField f) {
-  switch (f) {
-    case PacketField::kEthSrc: return mac_to_int(p.eth_src);
-    case PacketField::kEthDst: return mac_to_int(p.eth_dst);
-    case PacketField::kEthType: return p.eth_type;
-    case PacketField::kIpSrc: return p.ip_src;
-    case PacketField::kIpDst: return p.ip_dst;
-    case PacketField::kIpProto: return p.ip_proto;
-    case PacketField::kIpTtl: return p.ip_ttl;
-    case PacketField::kIpId: return p.ip_id;
-    case PacketField::kIpTos: return p.ip_tos;
-    case PacketField::kSport: return p.sport;
-    case PacketField::kDport: return p.dport;
-    case PacketField::kTcpFlags: return p.tcp_flags;
-    case PacketField::kTcpSeq: return p.tcp_seq;
-    case PacketField::kTcpAck: return p.tcp_ack;
-    case PacketField::kTcpWin: return p.tcp_win;
-    case PacketField::kLen: return static_cast<Int>(p.payload.size());
-    case PacketField::kInPort: return p.in_port;
-  }
-  throw std::invalid_argument("unhandled PacketField");
-}
 
 // ---------------------------------------------------------------------------
 // Config specialization
@@ -122,9 +72,9 @@ struct Classifier {
         if (n.starts_with("undef$")) return SafeTy::kUnsafe;
         if (n.starts_with("pkt.")) {
           const std::string_view field = std::string_view(n).substr(4);
-          if (field == "__payload") return SafeTy::kScalar;
-          return packet_field_from_name(field).has_value() ? SafeTy::kScalar
-                                                           : SafeTy::kUnsafe;
+          if (field == symex::kPayloadField) return SafeTy::kScalar;
+          return netsim::find_packet_field(field) != nullptr ? SafeTy::kScalar
+                                                             : SafeTy::kUnsafe;
         }
         // A store symbol is total only when we can see it is present
         // (it stays present: the model only overwrites state vars).
@@ -337,13 +287,13 @@ struct ProgCompiler {
       case SymKind::kVar: {
         if (!e->str_val.starts_with("pkt.")) return std::nullopt;
         const std::string_view field = std::string_view(e->str_val).substr(4);
-        if (field == "__payload") {
+        if (field == symex::kPayloadField) {
           push(OpCode::kPushConst, 0);  // identity handle, same as the env
           return Ty::kInt;
         }
-        const auto f = packet_field_from_name(field);
-        if (!f.has_value()) return std::nullopt;
-        push(OpCode::kPushField, static_cast<Int>(*f));
+        const netsim::FieldSpec* f = netsim::find_packet_field(field);
+        if (f == nullptr) return std::nullopt;
+        push(OpCode::kPushField, static_cast<Int>(f->id));
         return Ty::kInt;
       }
       case SymKind::kUn: {
@@ -676,17 +626,8 @@ DataplaneEngine::DataplaneEngine(const CompiledTable& table,
   // One environment for the engine's whole life: the closures chase
   // cur_ / store_ through `this`, so per-packet setup is two pointer
   // stores instead of the interpreter's per-entry std::function builds.
-  env_.var = [this](const std::string& name) -> Value {
-    if (name.starts_with("pkt.")) {
-      const std::string field = name.substr(4);
-      if (field == "__payload") {
-        return Value(static_cast<Int>(0));  // identity handle
-      }
-      return Value(runtime::get_packet_field(*cur_, field));
-    }
-    const auto it = store_.find(name);
-    if (it == store_.end()) throw std::out_of_range("unknown symbol " + name);
-    return it->second;
+  env_.var = [this](const std::string& name) {
+    return symex::resolve_symbol(name, store_, cur_);
   };
   env_.map_base = [this](const std::string& name) -> const runtime::MapV* {
     const auto it = store_.find(name);
@@ -760,7 +701,7 @@ runtime::Int DataplaneEngine::run_program(const Program& prog,
     switch (op.code) {
       case OpCode::kPushConst: st[sp++] = op.imm; break;
       case OpCode::kPushField:
-        st[sp++] = read_packet_field(in, static_cast<PacketField>(op.imm));
+        st[sp++] = netsim::read_field(in, static_cast<netsim::FieldId>(op.imm));
         break;
       case OpCode::kEq: binary(int_ops::eq); break;
       case OpCode::kNe: binary(int_ops::ne); break;

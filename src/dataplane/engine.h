@@ -52,26 +52,12 @@
 
 namespace nfactor::dataplane {
 
-/// Packet header fields addressable by compiled programs — one enum
-/// value per DSL field name, resolved at compile time so the batch loop
-/// never does string comparisons.
-enum class PacketField : std::uint8_t {
-  kEthSrc, kEthDst, kEthType,
-  kIpSrc, kIpDst, kIpProto, kIpTtl, kIpId, kIpTos,
-  kSport, kDport,
-  kTcpFlags, kTcpSeq, kTcpAck, kTcpWin,
-  kLen, kInPort,
-};
-
-std::optional<PacketField> packet_field_from_name(std::string_view name);
-runtime::Int read_packet_field(const netsim::Packet& p, PacketField f);
-
 /// Stack-machine opcodes for compiled (total, throw-free) expressions.
 /// Value semantics mirror symex::eval_concrete exactly: booleans live on
 /// the stack as 0/1, comparisons yield 0/1, logical ops test nonzero.
 enum class OpCode : std::uint8_t {
   kPushConst,  ///< imm -> stack
-  kPushField,  ///< read_packet_field(pkt, imm) -> stack
+  kPushField,  ///< netsim::read_field(pkt, FieldId(imm)) -> stack
   kEq, kNe, kLt, kLe, kGt, kGe,
   kAdd, kSub, kMul,
   kDiv, kMod,  ///< emitted only with a constant nonzero divisor

@@ -13,39 +13,6 @@ namespace {
 
 using runtime::Int;
 
-/// Raw-load plan for a packet field: byte offset into netsim::Packet
-/// plus load width. Width 0 = not raw-loadable (computed fields: the
-/// MAC integers, pkt.len, in_port) — those keep read_packet_field.
-struct RawField {
-  std::uint16_t off = 0;
-  std::uint8_t w = 0;
-};
-
-RawField raw_field(PacketField f) {
-  static const netsim::Packet p{};
-  const char* const base = reinterpret_cast<const char*>(&p);
-  const auto at = [&](const void* m, std::uint8_t w) {
-    return RawField{
-        static_cast<std::uint16_t>(static_cast<const char*>(m) - base), w};
-  };
-  switch (f) {
-    case PacketField::kEthType: return at(&p.eth_type, 2);
-    case PacketField::kIpSrc: return at(&p.ip_src, 4);
-    case PacketField::kIpDst: return at(&p.ip_dst, 4);
-    case PacketField::kIpProto: return at(&p.ip_proto, 1);
-    case PacketField::kIpTtl: return at(&p.ip_ttl, 1);
-    case PacketField::kIpId: return at(&p.ip_id, 2);
-    case PacketField::kIpTos: return at(&p.ip_tos, 1);
-    case PacketField::kSport: return at(&p.sport, 2);
-    case PacketField::kDport: return at(&p.dport, 2);
-    case PacketField::kTcpFlags: return at(&p.tcp_flags, 1);
-    case PacketField::kTcpSeq: return at(&p.tcp_seq, 4);
-    case PacketField::kTcpAck: return at(&p.tcp_ack, 4);
-    case PacketField::kTcpWin: return at(&p.tcp_win, 2);
-    default: return {};
-  }
-}
-
 /// Relation mask: the comparison is true for which of {v<k, v==k, v>k}.
 std::uint8_t mask_of(OpCode c) {
   switch (c) {
@@ -83,29 +50,6 @@ const char* cmp_name(OpCode c) {
     case OpCode::kGt: return ">";
     default: return ">=";
   }
-}
-
-const char* field_name(PacketField f) {
-  switch (f) {
-    case PacketField::kEthSrc: return "eth_src";
-    case PacketField::kEthDst: return "eth_dst";
-    case PacketField::kEthType: return "eth_type";
-    case PacketField::kIpSrc: return "ip_src";
-    case PacketField::kIpDst: return "ip_dst";
-    case PacketField::kIpProto: return "ip_proto";
-    case PacketField::kIpTtl: return "ip_ttl";
-    case PacketField::kIpId: return "ip_id";
-    case PacketField::kIpTos: return "ip_tos";
-    case PacketField::kSport: return "sport";
-    case PacketField::kDport: return "dport";
-    case PacketField::kTcpFlags: return "tcp_flags";
-    case PacketField::kTcpSeq: return "tcp_seq";
-    case PacketField::kTcpAck: return "tcp_ack";
-    case PacketField::kTcpWin: return "tcp_win";
-    case PacketField::kLen: return "len";
-    case PacketField::kInPort: return "in_port";
-  }
-  return "?";
 }
 
 /// Expression-tree node reconstructed from a stack Program, so the
@@ -189,19 +133,19 @@ struct Lowerer {
     return static_cast<std::int32_t>(idx);
   }
 
-  std::int32_t emit_cmp_field(PacketField f, OpCode cmp, Int k, Tgt tt,
+  std::int32_t emit_cmp_field(netsim::FieldId f, OpCode cmp, Int k, Tgt tt,
                               Tgt ff, Tgt xx) {
     ThreadedOp o;
     o.cmp1 = cmp;
     o.mask3 = mask_of(cmp);
     o.k1 = k;
     o.f1 = f;
-    const RawField r = raw_field(f);
-    o.off = r.off;
-    o.op = r.w == 1   ? TOp::kCmpRaw8
-           : r.w == 2 ? TOp::kCmpRaw16
-           : r.w == 4 ? TOp::kCmpRaw32
-                      : TOp::kCmpGen;
+    const netsim::FieldSpec& spec = netsim::packet_field(f);
+    o.off = spec.off;
+    o.op = spec.width == 1   ? TOp::kCmpRaw8
+           : spec.width == 2 ? TOp::kCmpRaw16
+           : spec.width == 4 ? TOp::kCmpRaw32
+                             : TOp::kCmpGen;
     ++c.fused_ops;
     return emit(o, tt, ff, xx);
   }
@@ -236,8 +180,8 @@ struct Lowerer {
                                        Tgt ff, Tgt xx) {
     const PNode& v = pn[value];
     if (v.code == OpCode::kPushField) {
-      return emit_cmp_field(static_cast<PacketField>(v.imm), cmp, k, tt, ff,
-                            xx);
+      return emit_cmp_field(static_cast<netsim::FieldId>(v.imm), cmp, k, tt,
+                            ff, xx);
     }
     if (v.code == OpCode::kBitAnd) {
       const PNode* fld = &pn[v.a];
@@ -253,10 +197,10 @@ struct Lowerer {
       o.mask3 = mask_of(cmp);
       o.k1 = k;
       o.k2 = msk->imm;
-      o.f1 = static_cast<PacketField>(fld->imm);
-      const RawField r = raw_field(o.f1);
-      o.off = r.off;
-      o.w = r.w;
+      o.f1 = static_cast<netsim::FieldId>(fld->imm);
+      const netsim::FieldSpec& spec = netsim::packet_field(o.f1);
+      o.off = spec.off;
+      o.w = spec.width;
       ++c.fused_ops;
       return emit(o, tt, ff, xx);
     }
@@ -301,8 +245,8 @@ struct Lowerer {
       case OpCode::kPayloadContains:
         return emit_contains(e.imm, tt, ff, xx);
       case OpCode::kPushField:
-        return emit_cmp_field(static_cast<PacketField>(e.imm), OpCode::kNe, 0,
-                              tt, ff, xx);
+        return emit_cmp_field(static_cast<netsim::FieldId>(e.imm),
+                              OpCode::kNe, 0, tt, ff, xx);
       default:
         if (!is_cmp(e.code)) return std::nullopt;
         if (pn[static_cast<std::size_t>(e.b)].code == OpCode::kPushConst) {
@@ -494,13 +438,14 @@ std::string ThreadedCode::to_text(const CompiledTable& table) const {
         static constexpr const char* kWidth[] = {"cmp8", "cmp16", "cmp32",
                                                  "cmp"};
         os << kWidth[static_cast<std::size_t>(o.op)] << " "
-           << field_name(o.f1) << " " << cmp_name(o.cmp1) << " " << o.k1;
+           << netsim::packet_field(o.f1).name << " " << cmp_name(o.cmp1)
+           << " " << o.k1;
         edges();
         break;
       }
       case TOp::kMaskCmp:
-        os << "test (" << field_name(o.f1) << " & " << o.k2 << ") "
-           << cmp_name(o.cmp1) << " " << o.k1;
+        os << "test (" << netsim::packet_field(o.f1).name << " & " << o.k2
+           << ") " << cmp_name(o.cmp1) << " " << o.k1;
         edges();
         break;
       case TOp::kContains:
@@ -567,7 +512,7 @@ inline Int load_masked(const ThreadedOp& o, const std::uint8_t* base,
     case 1: return base[o.off];
     case 2: return load_u16(base + o.off);
     case 4: return load_u32(base + o.off);
-    default: return read_packet_field(in, o.f1);
+    default: return netsim::read_field(in, o.f1);
   }
 }
 
@@ -705,7 +650,7 @@ void DataplaneEngine::batch_vectored_block(
         break;
       case TOp::kCmpGen:
         for (const std::int32_t li : q) {
-          sink(cmp_branch(o, read_packet_field(pkt(li), o.f1)), li);
+          sink(cmp_branch(o, netsim::read_field(pkt(li), o.f1)), li);
         }
         break;
       case TOp::kMaskCmp:
@@ -825,7 +770,7 @@ op_cmp_raw32:
   pc = cmp_branch(*op, load_u32(base + op->off));
   NFACTOR_TC_DISPATCH();
 op_cmp_gen:
-  pc = cmp_branch(*op, read_packet_field(*in, op->f1));
+  pc = cmp_branch(*op, netsim::read_field(*in, op->f1));
   NFACTOR_TC_DISPATCH();
 op_mask_cmp:
   pc = cmp_branch(*op, load_masked(*op, base, *in) & op->k2);

@@ -57,7 +57,7 @@ enum class TOp : std::uint8_t {
   kCmpRaw8,   ///< u8  at off, relation-mask branch against k1
   kCmpRaw16,  ///< u16 at off
   kCmpRaw32,  ///< u32 at off
-  kCmpGen,    ///< read_packet_field(f1) (computed fields: len, eth_*)
+  kCmpGen,    ///< netsim::read_field(f1) (computed fields: len, eth_*, in_port)
   kMaskCmp,     ///< (load & k2) vs k1 — the tcp_flags bit-test shape
   kContains,    ///< payload needle k1
   kContainsOr,  ///< needle k1 OR needle k2, one fused SWAR pass
@@ -83,7 +83,7 @@ struct ThreadedOp {
   OpCode cmp1 = OpCode::kEq;  ///< source comparison (to_text only)
   std::uint8_t mask3 = 0;     ///< relation mask: bit per {lt, eq, gt}
   std::uint8_t w = 0;         ///< kMaskCmp load width (1/2/4; 0 = generic)
-  PacketField f1{};
+  netsim::FieldId f1{};
   std::uint16_t off = 0;  ///< raw byte offset into netsim::Packet
   std::int32_t t = 0;     ///< pc on true
   std::int32_t f = 0;     ///< pc on false

@@ -240,24 +240,7 @@ std::optional<PartitionError> check_partition(
   int n = 0;
   for (const auto& pkt : packets) {
     if (++n > limit) break;
-    symex::ConcreteEnv env;
-    env.input_packet = &pkt;
-    env.var = [&](const std::string& name) -> runtime::Value {
-      if (name.starts_with("pkt.")) {
-        const std::string f = name.substr(4);
-        if (f == "__payload") return runtime::Value(runtime::Int{0});
-        if (f == "in_port") return runtime::Value(runtime::Int{pkt.in_port});
-        return runtime::Value(runtime::get_packet_field(pkt, f));
-      }
-      const auto it = store.find(name);
-      if (it == store.end()) throw std::out_of_range(name);
-      return it->second;
-    };
-    env.map_base = [&](const std::string& name) -> const runtime::MapV* {
-      const auto it = store.find(name);
-      if (it == store.end() || !it->second.is_map()) return nullptr;
-      return &it->second.as_map();
-    };
+    const symex::ConcreteEnv env = symex::store_env(store, &pkt);
 
     int sat_paths = 0;
     std::size_t sat_sends = 0;

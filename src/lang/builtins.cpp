@@ -65,23 +65,4 @@ const BuiltinSig* find_builtin(const std::string& name) {
   return it == index.end() ? nullptr : it->second;
 }
 
-const std::vector<PacketField>& packet_fields() {
-  static const std::vector<PacketField> table = {
-      {"eth_src", true},   {"eth_dst", true},
-      {"eth_type", true},  {"ip_src", true},   {"ip_dst", true},
-      {"ip_proto", true},  {"ip_ttl", true},   {"ip_id", true},
-      {"ip_tos", true},    {"sport", true},    {"dport", true},
-      {"tcp_flags", true}, {"tcp_seq", true},  {"tcp_ack", true},
-      {"tcp_win", true},   {"len", false},     {"in_port", false},
-  };
-  return table;
-}
-
-const PacketField* find_packet_field(const std::string& name) {
-  for (const auto& f : packet_fields()) {
-    if (f.name == name) return &f;
-  }
-  return nullptr;
-}
-
 }  // namespace nfactor::lang

@@ -49,13 +49,4 @@ inline bool is_pkt_input(const std::string& callee) {
   return b != nullptr && b->role == BuiltinRole::kPktInput;
 }
 
-/// Packet field descriptor: the DSL-visible field vocabulary.
-struct PacketField {
-  std::string name;
-  bool writable;
-};
-
-const std::vector<PacketField>& packet_fields();
-const PacketField* find_packet_field(const std::string& name);
-
 }  // namespace nfactor::lang

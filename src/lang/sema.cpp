@@ -4,6 +4,7 @@
 
 #include "lang/builtins.h"
 #include "lang/diagnostics.h"
+#include "netsim/packet.h"
 
 namespace nfactor::lang {
 
@@ -320,7 +321,7 @@ class Sema {
         if (checking && !compatible(base_t, Type::kPacket)) {
           fail(a.loc, "field store on non-packet '" + a.var + "'");
         }
-        const auto* f = find_packet_field(a.field);
+        const auto* f = netsim::find_packet_field(a.field);
         if (checking && f == nullptr) fail(a.loc, "unknown packet field '" + a.field + "'");
         if (checking && f != nullptr && !f->writable) {
           fail(a.loc, "packet field '" + a.field + "' is read-only");
@@ -453,7 +454,7 @@ class Sema {
         if (checking && !compatible(bt, Type::kPacket)) {
           fail(f.loc, "field access on non-packet value");
         }
-        if (checking && find_packet_field(f.field) == nullptr) {
+        if (checking && netsim::find_packet_field(f.field) == nullptr) {
           fail(f.loc, "unknown packet field '" + f.field + "'");
         }
         return Type::kInt;

@@ -31,38 +31,9 @@ void ModelInterpreter::set_state(const std::string& name, runtime::Value v) {
   store_[name] = std::move(v);
 }
 
-namespace {
-
-symex::ConcreteEnv make_env(const std::map<std::string, runtime::Value>& store,
-                            const netsim::Packet& in) {
-  symex::ConcreteEnv env;
-  env.input_packet = &in;
-  env.var = [&store, &in](const std::string& name) -> runtime::Value {
-    if (name.starts_with("pkt.")) {
-      const std::string field = name.substr(4);
-      if (field == "__payload") {
-        // Identity handle; payload predicates use input_packet directly.
-        return runtime::Value(static_cast<runtime::Int>(0));
-      }
-      return runtime::Value(runtime::get_packet_field(in, field));
-    }
-    const auto it = store.find(name);
-    if (it == store.end()) throw std::out_of_range("unknown symbol " + name);
-    return it->second;
-  };
-  env.map_base = [&store](const std::string& name) -> const runtime::MapV* {
-    const auto it = store.find(name);
-    if (it == store.end() || !it->second.is_map()) return nullptr;
-    return &it->second.as_map();
-  };
-  return env;
-}
-
-}  // namespace
-
 bool ModelInterpreter::entry_matches(const ModelEntry& e,
                                      const netsim::Packet& in) const {
-  const symex::ConcreteEnv env = make_env(store_, in);
+  const symex::ConcreteEnv env = symex::store_env(store_, &in);
   try {
     for (const auto& c : e.config_match) {
       if (!symex::eval_concrete_bool(c, env)) return false;
@@ -84,7 +55,7 @@ bool ModelInterpreter::entry_matches(const ModelEntry& e,
 
 ModelOutput ModelInterpreter::process(const netsim::Packet& in) {
   ModelOutput out;
-  const symex::ConcreteEnv env = make_env(store_, in);
+  const symex::ConcreteEnv env = symex::store_env(store_, &in);
 
   for (std::size_t i = 0; i < model_.entries.size(); ++i) {
     const ModelEntry& e = model_.entries[i];

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "obs/obs.h"
+#include "symex/concrete_eval.h"
 
 namespace nfactor::model {
 
@@ -153,7 +154,7 @@ Model build_model(const std::string& nf_name,
       SendAction a;
       a.port = s.port;
       for (const auto& [field, v] : s.fields) {
-        if (field == "__payload") continue;
+        if (field == symex::kPayloadField) continue;
         const bool identity = v->kind == symex::SymKind::kVar &&
                               v->str_val == "pkt." + field;
         if (!identity) a.rewrites[field] = v;

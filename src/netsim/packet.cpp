@@ -34,11 +34,55 @@ std::uint32_t get32(std::span<const std::uint8_t> b, std::size_t i) {
   return static_cast<std::uint32_t>(get16(b, i)) << 16 | get16(b, i + 2);
 }
 
+/// The MAC address whose integer (mac_to_int) is `v`'s low 48 bits.
+MacAddr int_to_mac(std::int64_t v) {
+  MacAddr m{};
+  for (auto it = m.rbegin(); it != m.rend(); ++it) {
+    *it = static_cast<std::uint8_t>(v);
+    v >>= 8;
+  }
+  return m;
+}
+
 }  // namespace
 
 std::size_t Packet::ip_total_length() const {
   const std::size_t transport = is_tcp() ? kTcpLen : kUdpLen;
   return kIpLen + transport + payload.size();
+}
+
+const FieldSpec* find_packet_field(std::string_view name) {
+  for (const FieldSpec& f : kPacketFields) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
+void write_field(Packet& p, FieldId id, std::int64_t v) {
+  const FieldSpec& f = packet_field(id);
+  if (!f.writable) {
+    throw std::invalid_argument("packet field '" + std::string(f.name) +
+                                "' is not writable");
+  }
+  switch (id) {
+    case FieldId::kEthSrc: p.eth_src = int_to_mac(v); return;
+    case FieldId::kEthDst: p.eth_dst = int_to_mac(v); return;
+    default: break;
+  }
+  auto* at = reinterpret_cast<unsigned char*>(&p) + f.off;
+  switch (f.width) {
+    case 1: *at = static_cast<std::uint8_t>(v); return;
+    case 2: {
+      const auto u = static_cast<std::uint16_t>(v);
+      std::memcpy(at, &u, sizeof(u));
+      return;
+    }
+    default: {
+      const auto u = static_cast<std::uint32_t>(v);
+      std::memcpy(at, &u, sizeof(u));
+      return;
+    }
+  }
 }
 
 std::uint32_t ipv4(const std::string& dotted) {

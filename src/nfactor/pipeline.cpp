@@ -20,9 +20,8 @@ PipelineResult run(const lang::Program& prog, const PipelineOptions& opts) {
   // ---- Stage 0: structure normalization + lowering ----------------------
   {
     obs::Span sp(tracer, "pipeline.lower");
-    lang::Program canon = opts.normalize_structure ? transform::normalize(prog)
-                                                   : prog.clone();
-    r.module = std::make_unique<ir::Module>(ir::lower(std::move(canon)));
+    r.module =
+        std::make_unique<ir::Module>(ir::lower(transform::normalize(prog)));
     sp.attr("cfg_nodes", static_cast<std::int64_t>(r.module->body.size()));
     r.times.lower_ms = sp.close_ms();
   }

@@ -27,7 +27,6 @@
 namespace nfactor::pipeline {
 
 struct PipelineOptions {
-  bool normalize_structure = true;  // apply §3.2 transforms first
   /// Opt-in IR simplification between lowering and slicing (disabled by
   /// default so library behavior is unchanged; nf-synth turns it on
   /// with fold_config and offers --no-simplify).

@@ -93,83 +93,22 @@ std::string to_string(const Value& v) {
   return os.str();
 }
 
-namespace {
-
-Int mac_to_int(const netsim::MacAddr& m) {
-  Int out = 0;
-  for (int i = 0; i < 6; ++i) out = out << 8 | m[static_cast<std::size_t>(i)];
-  return out;
-}
-
-netsim::MacAddr int_to_mac(Int v) {
-  netsim::MacAddr m;
-  for (int i = 5; i >= 0; --i) {
-    m[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
-    v >>= 8;
+Int get_packet_field(const netsim::Packet& p, std::string_view field) {
+  const netsim::FieldSpec* f = netsim::find_packet_field(field);
+  if (f == nullptr) {
+    throw std::invalid_argument("unknown packet field '" + std::string(field) +
+                                "'");
   }
-  return m;
+  return netsim::read_field(p, f->id);
 }
 
-}  // namespace
-
-Int get_packet_field(const netsim::Packet& p, const std::string& field) {
-  if (field == "eth_src") return mac_to_int(p.eth_src);
-  if (field == "eth_dst") return mac_to_int(p.eth_dst);
-  if (field == "eth_type") return p.eth_type;
-  if (field == "ip_src") return p.ip_src;
-  if (field == "ip_dst") return p.ip_dst;
-  if (field == "ip_proto") return p.ip_proto;
-  if (field == "ip_ttl") return p.ip_ttl;
-  if (field == "ip_id") return p.ip_id;
-  if (field == "ip_tos") return p.ip_tos;
-  if (field == "sport") return p.sport;
-  if (field == "dport") return p.dport;
-  if (field == "tcp_flags") return p.tcp_flags;
-  if (field == "tcp_seq") return p.tcp_seq;
-  if (field == "tcp_ack") return p.tcp_ack;
-  if (field == "tcp_win") return p.tcp_win;
-  if (field == "len") return static_cast<Int>(p.payload.size());
-  if (field == "in_port") return p.in_port;
-  throw std::invalid_argument("unknown packet field '" + field + "'");
-}
-
-void set_packet_field(netsim::Packet& p, const std::string& field, Int value) {
-  const auto u32 = static_cast<std::uint32_t>(value);
-  const auto u16 = static_cast<std::uint16_t>(value);
-  const auto u8 = static_cast<std::uint8_t>(value);
-  if (field == "eth_src") {
-    p.eth_src = int_to_mac(value);
-  } else if (field == "eth_dst") {
-    p.eth_dst = int_to_mac(value);
-  } else if (field == "eth_type") {
-    p.eth_type = u16;
-  } else if (field == "ip_src") {
-    p.ip_src = u32;
-  } else if (field == "ip_dst") {
-    p.ip_dst = u32;
-  } else if (field == "ip_proto") {
-    p.ip_proto = u8;
-  } else if (field == "ip_ttl") {
-    p.ip_ttl = u8;
-  } else if (field == "ip_id") {
-    p.ip_id = u16;
-  } else if (field == "ip_tos") {
-    p.ip_tos = u8;
-  } else if (field == "sport") {
-    p.sport = u16;
-  } else if (field == "dport") {
-    p.dport = u16;
-  } else if (field == "tcp_flags") {
-    p.tcp_flags = u8;
-  } else if (field == "tcp_seq") {
-    p.tcp_seq = u32;
-  } else if (field == "tcp_ack") {
-    p.tcp_ack = u32;
-  } else if (field == "tcp_win") {
-    p.tcp_win = u16;
-  } else {
-    throw std::invalid_argument("packet field '" + field + "' is not writable");
+void set_packet_field(netsim::Packet& p, std::string_view field, Int value) {
+  const netsim::FieldSpec* f = netsim::find_packet_field(field);
+  if (f == nullptr || !f->writable) {
+    throw std::invalid_argument("packet field '" + std::string(field) +
+                                "' is not writable");
   }
+  netsim::write_field(p, f->id, value);
 }
 
 }  // namespace nfactor::runtime

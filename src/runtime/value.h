@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -76,10 +77,11 @@ Int dsl_hash(const Tuple& t);
 
 std::string to_string(const Value& v);
 
-/// Read a packet header field by DSL field name.
-Int get_packet_field(const netsim::Packet& p, const std::string& field);
+/// Read a packet header field by DSL field name, through
+/// netsim::kPacketFields (unknown names throw std::invalid_argument).
+Int get_packet_field(const netsim::Packet& p, std::string_view field);
 /// Write a packet header field by DSL field name (read-only fields throw
 /// std::invalid_argument; sema normally prevents this).
-void set_packet_field(netsim::Packet& p, const std::string& field, Int value);
+void set_packet_field(netsim::Packet& p, std::string_view field, Int value);
 
 }  // namespace nfactor::runtime

@@ -48,6 +48,34 @@ void materialize_map(const SymRef& e, const ConcreteEnv& env, MapV& out) {
 
 }  // namespace
 
+Value resolve_symbol(const std::string& name,
+                     const std::map<std::string, Value>& store,
+                     const netsim::Packet* pkt) {
+  if (pkt != nullptr && name.starts_with("pkt.")) {
+    const std::string_view field = std::string_view(name).substr(4);
+    if (field == kPayloadField) return Value(Int{0});
+    return Value(runtime::get_packet_field(*pkt, field));
+  }
+  const auto it = store.find(name);
+  if (it == store.end()) throw std::out_of_range("unknown symbol " + name);
+  return it->second;
+}
+
+ConcreteEnv store_env(const std::map<std::string, Value>& store,
+                      const netsim::Packet* pkt) {
+  ConcreteEnv env;
+  env.input_packet = pkt;
+  env.var = [&store, pkt](const std::string& name) {
+    return resolve_symbol(name, store, pkt);
+  };
+  env.map_base = [&store](const std::string& name) -> const MapV* {
+    const auto it = store.find(name);
+    if (it == store.end() || !it->second.is_map()) return nullptr;
+    return &it->second.as_map();
+  };
+  return env;
+}
+
 Value eval_concrete(const SymRef& e, const ConcreteEnv& env) {
   switch (e->kind) {
     case SymKind::kConstInt: return Value(e->int_val);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
 
 #include "netsim/packet.h"
@@ -34,6 +35,26 @@ struct ConcreteEnv {
   /// Input packet, needed by uninterpreted payload predicates.
   const netsim::Packet* input_packet = nullptr;
 };
+
+/// pkt.__payload: the symbol standing for the input packet's payload.
+/// It evaluates to the identity handle 0; payload predicates read
+/// ConcreteEnv::input_packet instead.
+inline constexpr char kPayloadField[] = "__payload";
+
+/// The value of symbol `name` against a concrete store and input packet:
+/// "pkt.<field>" reads `*pkt` through netsim::kPacketFields (an unknown
+/// field throws std::invalid_argument), pkt.__payload is 0, and any other
+/// name is a store variable (std::out_of_range when absent). Without a
+/// packet, pkt.* names are store lookups like any other.
+runtime::Value resolve_symbol(
+    const std::string& name,
+    const std::map<std::string, runtime::Value>& store,
+    const netsim::Packet* pkt);
+
+/// An env resolving symbols with resolve_symbol and maps from `store`,
+/// with `pkt` as the input packet. It borrows both.
+ConcreteEnv store_env(const std::map<std::string, runtime::Value>& store,
+                      const netsim::Packet* pkt = nullptr);
 
 /// Evaluate `e` under `env`. Throws std::runtime_error on expressions
 /// that cannot be concretized (e.g. undef$ symbols).

@@ -9,9 +9,10 @@
 #include <stdexcept>
 #include <thread>
 
-#include "lang/builtins.h"
+#include "netsim/packet.h"
 #include "obs/obs.h"
 #include "runtime/value.h"
+#include "symex/concrete_eval.h"
 
 namespace nfactor::symex {
 
@@ -19,10 +20,6 @@ namespace {
 
 using lang::Expr;
 using lang::ExprKind;
-
-/// Pseudo-field carrying payload identity for uninterpreted payload
-/// predicates; never touched by field stores.
-constexpr const char* kPayloadField = "__payload";
 
 std::size_t effective_jobs(int jobs) {
   if (jobs > 0) return static_cast<std::size_t>(jobs);
@@ -516,8 +513,9 @@ std::vector<ExecPath> SymbolicExecutor::run(const ExecOptions& opts,
           break;
         case ir::InstrKind::kRecv: {
           std::map<std::string, SymRef> fields;
-          for (const auto& f : lang::packet_fields()) {
-            fields[f.name] = make_var(opts.pkt_prefix + f.name, VarClass::kPkt);
+          for (const auto& f : netsim::kPacketFields) {
+            const std::string name(f.name);
+            fields[name] = make_var(opts.pkt_prefix + name, VarClass::kPkt);
           }
           fields[kPayloadField] =
               make_var(opts.pkt_prefix + kPayloadField, VarClass::kPkt);

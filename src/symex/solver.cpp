@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "lang/int_ops.h"
+#include "netsim/packet.h"
 #include "obs/obs.h"
 
 namespace nfactor::symex {
@@ -125,22 +126,13 @@ class Checker {
     }
     // Packet fields are kVar terms named "pkt.<field>" (or
     // "pktN.<field>" in multi-packet sequences).
-    static const std::map<std::string, Int, std::less<>> kFieldMax = {
-        {"sport", 0xFFFF},         {"dport", 0xFFFF},
-        {"eth_type", 0xFFFF},      {"ip_id", 0xFFFF},
-        {"tcp_win", 0xFFFF},       {"len", 0xFFFF},
-        {"ip_proto", 0xFF},        {"ip_ttl", 0xFF},
-        {"ip_tos", 0xFF},          {"tcp_flags", 0xFF},
-        {"in_port", 0xFF},         {"ip_src", 0xFFFFFFFF},
-        {"ip_dst", 0xFFFFFFFF},    {"tcp_seq", 0xFFFFFFFF},
-        {"tcp_ack", 0xFFFFFFFF},   {"eth_src", 0xFFFFFFFFFFFF},
-        {"eth_dst", 0xFFFFFFFFFFFF}};
     if (e->kind != SymKind::kVar) return -1;
     const std::string_view name = e->str_val;
     const auto dot = name.find('.');
     if (dot == std::string_view::npos || name.substr(0, 3) != "pkt") return -1;
-    const auto it = kFieldMax.find(name.substr(dot + 1));
-    return it == kFieldMax.end() ? -1 : it->second;
+    const netsim::FieldSpec* f =
+        netsim::find_packet_field(name.substr(dot + 1));
+    return f == nullptr ? -1 : f->max;
   }
 
   int find(int x) {

@@ -92,7 +92,7 @@ ComplianceReport run_compliance(const ir::Module& module,
                                 const model::Model& model) {
   ComplianceReport report;
   const auto store = model::initial_store(module);
-  const symex::ConcreteEnv cfg_env = store_env(store);
+  const symex::ConcreteEnv cfg_env = symex::store_env(store);
 
   for (std::size_t ei = 0; ei < model.entries.size(); ++ei) {
     const model::ModelEntry& entry = model.entries[ei];
@@ -164,21 +164,8 @@ ComplianceReport run_compliance(const ir::Module& module,
 
           // Key the priming packet inserts.
           const netsim::Packet prime_pkt = prime.packet();
-          symex::ConcreteEnv pk_env = cfg_env;
-          pk_env.input_packet = &prime_pkt;
-          pk_env.var = [&store, &prime_pkt](const std::string& name) {
-            if (name.starts_with("pkt.")) {
-              const std::string f = name.substr(4);
-              if (f == "__payload") return runtime::Value(runtime::Int(0));
-              if (f == "in_port") {
-                return runtime::Value(runtime::Int(prime_pkt.in_port));
-              }
-              return runtime::Value(runtime::get_packet_field(prime_pkt, f));
-            }
-            const auto it2 = store.find(name);
-            if (it2 == store.end()) throw std::out_of_range(name);
-            return it2->second;
-          };
+          const symex::ConcreteEnv pk_env =
+              symex::store_env(store, &prime_pkt);
           try {
             const runtime::Value inserted_key =
                 symex::eval_concrete(it->second->operands[1], pk_env);

@@ -7,6 +7,7 @@
 #include "lint/simplify.h"
 #include "model/interp.h"
 #include "runtime/interp.h"
+#include "symex/concrete_eval.h"
 #include "symex/solver.h"
 
 namespace nfactor::verify {
@@ -88,7 +89,7 @@ std::string action_signature(const symex::ExecPath& path,
   for (const auto& s : path.sends) {
     os << "(";
     for (const auto& [f, v] : s.fields) {
-      if (f == "__payload") continue;
+      if (f == symex::kPayloadField) continue;
       // Identity fields don't distinguish actions.
       if (v->kind == symex::SymKind::kVar && v->str_val == "pkt." + f) continue;
       os << f << '=' << v->key() << ';';

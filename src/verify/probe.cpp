@@ -7,21 +7,6 @@ namespace nfactor::verify {
 using symex::SymKind;
 using symex::SymRef;
 
-symex::ConcreteEnv store_env(const std::map<std::string, runtime::Value>& store) {
-  symex::ConcreteEnv env;
-  env.var = [&store](const std::string& name) -> runtime::Value {
-    const auto it = store.find(name);
-    if (it == store.end()) throw std::out_of_range("unknown symbol " + name);
-    return it->second;
-  };
-  env.map_base = [&store](const std::string& name) -> const runtime::MapV* {
-    const auto it = store.find(name);
-    if (it == store.end() || !it->second.is_map()) return nullptr;
-    return &it->second.as_map();
-  };
-  return env;
-}
-
 std::optional<std::string> pkt_field_of(const SymRef& e) {
   if (e->kind == SymKind::kVar && e->var_class == symex::VarClass::kPkt &&
       e->str_val.starts_with("pkt.")) {
@@ -149,20 +134,19 @@ bool ProbeBuilder::apply(const SymRef& c, bool polarity) {
 }
 
 bool ProbeBuilder::set_field(const std::string& field, runtime::Int v) {
-  try {
-    runtime::set_packet_field(probe_, field, v);
-    return true;
-  } catch (const std::exception&) {
-    if (field == "in_port") {
+  const netsim::FieldSpec* f = netsim::find_packet_field(field);
+  if (f == nullptr) return false;
+  switch (f->id) {
+    case netsim::FieldId::kInPort:
       probe_.in_port = static_cast<int>(v);
       return true;
-    }
-    if (field == "len") {
+    case netsim::FieldId::kLen:
       if (v < 0 || v > 1400) return false;
       probe_.payload.assign(static_cast<std::size_t>(v), 0x61);
       return true;
-    }
-    return false;
+    default:
+      netsim::write_field(probe_, f->id, v);
+      return true;
   }
 }
 

@@ -12,7 +12,6 @@
 // proposes, eval_concrete disposes.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 
@@ -22,11 +21,6 @@
 #include "symex/expr.h"
 
 namespace nfactor::verify {
-
-/// Environment for evaluating the non-packet side of match constraints
-/// against a concrete store (deployed configuration + current state).
-/// The returned env borrows `store` — it must outlive the env.
-symex::ConcreteEnv store_env(const std::map<std::string, runtime::Value>& store);
 
 /// The packet field a bare "pkt.<field>" symbol refers to, if `e` is one.
 std::optional<std::string> pkt_field_of(const symex::SymRef& e);

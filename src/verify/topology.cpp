@@ -8,7 +8,7 @@
 #include <thread>
 #include <unordered_set>
 
-#include "lang/builtins.h"
+#include "lang/ast.h"
 #include "netsim/packet.h"
 #include "obs/obs.h"
 
@@ -131,6 +131,7 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 /// "node:port" with port '*' -> -1. `allow_wild` gates the '*' form.
+/// Ports are interface numbers, so they take pkt.in_port's range.
 std::pair<std::string, int> split_endpoint(const std::string& tok, int line,
                                            bool allow_wild) {
   const auto colon = tok.rfind(':');
@@ -146,7 +147,11 @@ std::pair<std::string, int> split_endpoint(const std::string& tok, int line,
   try {
     std::size_t used = 0;
     const int p = std::stoi(port, &used);
-    if (used != port.size() || p < 0) throw std::invalid_argument(port);
+    const std::int64_t max =
+        netsim::packet_field(netsim::FieldId::kInPort).max;
+    if (used != port.size() || p < 0 || p > max) {
+      throw std::invalid_argument(port);
+    }
     return {node, p};
   } catch (const std::exception&) {
     parse_fail(line, "bad port '" + port + "'");
@@ -302,9 +307,7 @@ SymRef parse_where_atom(const std::string& atom) {
                                atom + "'");
     }
     const std::string field = lhs.substr(4);
-    bool known = false;
-    for (const auto& f : lang::packet_fields()) known |= f.name == field;
-    if (!known) {
+    if (netsim::find_packet_field(field) == nullptr) {
       throw std::runtime_error("unknown packet field '" + lhs + "'");
     }
     return symex::make_bin(op, symex::make_var(lhs, symex::VarClass::kPkt),
@@ -558,9 +561,9 @@ class QueryEngine {
     fr.node = node_index_.at(in.node);
     fr.in_port = in.port;
     fr.constraints = q_.where;
-    for (const auto& f : lang::packet_fields()) {
-      fr.fields["pkt." + f.name] =
-          symex::make_var("pkt." + f.name, symex::VarClass::kPkt);
+    for (const auto& f : netsim::kPacketFields) {
+      const std::string name = "pkt." + std::string(f.name);
+      fr.fields[name] = symex::make_var(name, symex::VarClass::kPkt);
     }
     fr.visited.assign(instances_.size(), 0);
     fr.visited[static_cast<std::size_t>(fr.node)] = 1;

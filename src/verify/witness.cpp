@@ -25,27 +25,6 @@ std::map<std::string, runtime::Value> instance_store(const TopoNode& n) {
   return store;
 }
 
-/// Env resolving "<id>$"-prefixed instance symbols from `combined` and
-/// pkt.* symbols from `pkt`.
-symex::ConcreteEnv packet_env(
-    const std::map<std::string, runtime::Value>& combined,
-    const netsim::Packet& pkt) {
-  symex::ConcreteEnv env = store_env(combined);
-  env.input_packet = &pkt;
-  env.var = [&combined, &pkt](const std::string& name) -> runtime::Value {
-    if (name.starts_with("pkt.")) {
-      const std::string f = name.substr(4);
-      if (f == "__payload") return runtime::Value(runtime::Int(0));
-      if (f == "in_port") return runtime::Value(runtime::Int(pkt.in_port));
-      return runtime::Value(runtime::get_packet_field(pkt, f));
-    }
-    const auto it = combined.find(name);
-    if (it == combined.end()) throw std::out_of_range("unknown symbol " + name);
-    return it->second;
-  };
-  return env;
-}
-
 /// Wire-codec leg: the frame must survive encode -> decode unchanged
 /// (in_port is harness metadata, not a wire field — carried separately,
 /// exactly as the trace format does).
@@ -73,7 +52,7 @@ std::optional<Witness> materialize_witness(const Topology& topo,
 
   // Propose: invert what the prober understands; leftovers are caught by
   // the verification pass below.
-  ProbeBuilder probe(store_env(combined));
+  ProbeBuilder probe(symex::store_env(combined));
   for (const auto& c : path.constraints) {
     (void)probe.apply(c);
   }
@@ -99,7 +78,7 @@ std::optional<Witness> materialize_witness(const Topology& topo,
   // Dispose: every path constraint must hold concretely for this packet
   // under the initial stores. Paths needing non-initial state (positive
   // membership on a fresh map) or mis-inverted constraints die here.
-  const symex::ConcreteEnv env = packet_env(combined, pkt);
+  const symex::ConcreteEnv env = symex::store_env(combined, &pkt);
   for (const auto& c : path.constraints) {
     const auto v = try_const(c, env);
     if (!v || *v == 0) return std::nullopt;

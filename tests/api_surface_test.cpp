@@ -5,6 +5,8 @@
 #include "analysis/dot.h"
 #include "diff/matcher.h"
 #include "ir/dot.h"
+#include "ir/lower.h"
+#include "lang/parser.h"
 #include "model/fsm.h"
 #include "model/sefl_export.h"
 #include "model/validate.h"
@@ -46,14 +48,12 @@ TEST(ApiSurface, CorpusLookupThrowsOnUnknown) {
 }
 
 TEST(ApiSurface, PipelineWithoutNormalizationRejectsCallbacks) {
-  pipeline::PipelineOptions opts;
-  opts.normalize_structure = false;
-  EXPECT_THROW(
-      pipeline::run_source(nfs::find("lb").source, "lb-raw", opts),
-      ir::LowerError);
-  // Canonical programs work either way.
-  EXPECT_NO_THROW(
-      pipeline::run_source(nfs::find("nat").source, "nat-raw", opts));
+  // pipeline::run always normalizes; lowering the parsed program directly
+  // shows what normalization is for.
+  EXPECT_THROW(ir::lower(lang::parse(nfs::find("lb").source, "lb-raw")),
+               ir::LowerError);
+  // Canonical programs lower either way.
+  EXPECT_NO_THROW(ir::lower(lang::parse(nfs::find("nat").source, "nat-raw")));
 }
 
 TEST(ApiSurface, CfgDotWithoutHighlightHasNoFill) {

@@ -7,7 +7,7 @@
 
 #include "ir/ir.h"
 #include "ir/lower.h"
-#include "lang/builtins.h"
+#include "netsim/packet.h"
 #include "tests/test_util.h"
 
 namespace nfactor {
@@ -258,12 +258,13 @@ TEST(ConstPropTest, PacketDefsSmashEveryPacketField) {
   const ConstProp cp(m.body, {});
   const auto* send = find_kind(m.body, ir::InstrKind::kSend);
   ASSERT_NE(send, nullptr);
-  ASSERT_EQ(lang::packet_fields().size(), 17u);
-  for (const auto& f : lang::packet_fields()) {
-    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("pkt", f.name)).is_bottom())
-        << f.name;
-    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("q", f.name)).is_bottom())
-        << f.name;
+  ASSERT_EQ(netsim::kPacketFields.size(), 17u);
+  for (const auto& spec : netsim::kPacketFields) {
+    const std::string f(spec.name);
+    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("pkt", f)).is_bottom())
+        << f;
+    EXPECT_TRUE(cp.value_in(send->id, ir::field_loc("q", f)).is_bottom())
+        << f;
   }
 }
 

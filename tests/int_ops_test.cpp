@@ -1,8 +1,9 @@
 // The DSL's integer semantics (lang/int_ops.h) on edge operands, and the
 // agreement of every evaluator with it: the symbolic folder, the model
 // evaluator, SCCP, the dataplane stack machine, and — on
-// tests/fixtures/int_edges.nf and solver_wrap.nf — the runtime against
-// the model (differential test) and the model against the compiled engine.
+// tests/fixtures/int_edges.nf, solver_wrap.nf and in_port_wide.nf — the
+// runtime against the model (differential test) and the model against the
+// compiled engine.
 #include "lang/int_ops.h"
 
 #include <gtest/gtest.h>
@@ -215,18 +216,28 @@ std::vector<netsim::Packet> ttl_packets() {
   return out;
 }
 
+std::vector<netsim::Packet> in_port_packets() {
+  std::vector<netsim::Packet> out;
+  for (const int port : {0, 255, 256, 65535}) {
+    netsim::Packet p;
+    p.in_port = port;
+    out.push_back(p);
+  }
+  return out;
+}
+
 /// Synthesizes `fixture` (with or without simplification and config
 /// folding) and checks that the runtime, the model (differential test),
-/// ModelInterpreter and the compiled engine all send packets with
-/// ip_ttl 0, 1 and 255 on `ports`.
-void expect_ttl_ports_agree(const std::string& fixture,
-                            const std::vector<int>& ports, bool simplify) {
+/// ModelInterpreter and the compiled engine all send `packets[i]` on
+/// `ports[i]`.
+void expect_ports_agree(const std::string& fixture,
+                        const std::vector<netsim::Packet>& packets,
+                        const std::vector<int>& ports, bool simplify) {
   pipeline::PipelineOptions opts;
   opts.simplify.enabled = simplify;
   opts.simplify.fold_config = simplify;
   const auto r = pipeline::run_source(read_fixture(fixture), fixture, opts);
   ASSERT_FALSE(r.degraded());
-  const auto packets = ttl_packets();
 
   runtime::Interpreter rt(*r.module);
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -239,7 +250,7 @@ void expect_ttl_ports_agree(const std::string& fixture,
       verify::differential_test(*r.module, r.cats, r.model, packets);
   EXPECT_TRUE(diff.ok()) << diff.mismatches << " mismatches; first: "
                          << (diff.details.empty() ? "" : diff.details[0]);
-  EXPECT_EQ(diff.original_sent, 3);
+  EXPECT_EQ(diff.original_sent, static_cast<int>(packets.size()));
 
   const auto store = model::initial_store(*r.module);
   for (const bool specialize : {true, false}) {
@@ -264,13 +275,20 @@ class IntEdgesFixture : public ::testing::TestWithParam<bool> {};
 
 // The fixture's own comment: ttl 0, 1, 255 send on ports 2, 4, 3.
 TEST_P(IntEdgesFixture, RuntimeModelAndEngineAgree) {
-  expect_ttl_ports_agree("int_edges.nf", {2, 4, 3}, GetParam());
+  expect_ports_agree("int_edges.nf", ttl_packets(), {2, 4, 3}, GetParam());
 }
 
 // The solver keeps `pkt.ip_ttl + MAX` opaque because it wraps, so the
 // model keeps every send: ttl 0, 1, 255 on ports 2, 1, 3.
 TEST_P(IntEdgesFixture, SolverWrapFixtureKeepsEverySend) {
-  expect_ttl_ports_agree("solver_wrap.nf", {2, 1, 3}, GetParam());
+  expect_ports_agree("solver_wrap.nf", ttl_packets(), {2, 1, 3}, GetParam());
+}
+
+// pkt.in_port ranges over 0..65535, so the guards on 255 and 65535 keep
+// their sends: in_port 0, 255, 256, 65535 on ports 2, 2, 1, 3.
+TEST_P(IntEdgesFixture, InPortWideFixtureKeepsEverySend) {
+  expect_ports_agree("in_port_wide.nf", in_port_packets(), {2, 2, 1, 3},
+                     GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Simplify, IntEdgesFixture, ::testing::Bool());

@@ -5,6 +5,7 @@
 #include "lang/builtins.h"
 #include "lang/diagnostics.h"
 #include "lang/parser.h"
+#include "netsim/packet.h"
 
 namespace nfactor::lang {
 namespace {
@@ -212,6 +213,7 @@ TEST(Builtins, RegistryIsConsistent) {
 }
 
 TEST(Builtins, PacketFieldTable) {
+  using netsim::find_packet_field;
   ASSERT_NE(find_packet_field("ip_src"), nullptr);
   EXPECT_TRUE(find_packet_field("ip_src")->writable);
   ASSERT_NE(find_packet_field("len"), nullptr);

@@ -257,6 +257,11 @@ TEST(Solver, PacketFieldWidthBounds) {
             SatResult::kUnsat);
   EXPECT_EQ(check({make_bin(BinOp::kEq, v("pkt.tcp_flags"), make_int(300))}),
             SatResult::kUnsat);
+  // in_port spans what the trace format carries: a u16.
+  EXPECT_EQ(check({make_bin(BinOp::kEq, v("pkt.in_port"), make_int(300))}),
+            SatResult::kSat);
+  EXPECT_EQ(check({make_bin(BinOp::kGt, v("pkt.in_port"), make_int(65535))}),
+            SatResult::kUnsat);
   // Multi-packet prefixes get the same bounds.
   EXPECT_EQ(check({make_bin(BinOp::kGt,
                             make_var("pkt2.dport", VarClass::kPkt),

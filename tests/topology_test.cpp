@@ -105,6 +105,8 @@ TEST(TopologyParse, RejectsMalformedInputWithLineNumbers) {
       {"node fw firewall\n\nedge fw:1 fw:0\n", "line 3"},
       {"node fw no_such_nf\n", "line 1"},
       {"node fw firewall cfg bogus\n", "line 1"},
+      // Ports take pkt.in_port's range, 0..65535.
+      {"node fw firewall\ningress in -> fw:70000\n", "line 2"},
       // A pin must name a config the model reads: firewall has no
       // INLINE_DROP.
       {"node fw firewall\n\nnode fw2 firewall cfg INLINE_DROP=1\n",
@@ -119,6 +121,22 @@ TEST(TopologyParse, RejectsMalformedInputWithLineNumbers) {
       EXPECT_NE(std::string(ex.what()).find(needle), std::string::npos)
           << ex.what();
     }
+  }
+}
+
+TEST(TopologyParse, PortsSpanTheInPortRange) {
+  const std::string head = "node fw firewall\ningress in -> fw:";
+  EXPECT_EQ(parse_topology(head + "65535\n", corpus_models().resolver())
+                .ingress_point("in")
+                ->port,
+            65535);
+  try {
+    parse_topology(head + "70000\n", corpus_models().resolver());
+    FAIL() << "expected parse failure";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("bad port '70000'"),
+              std::string::npos)
+        << ex.what();
   }
 }
 
@@ -201,6 +219,36 @@ TEST(TopologyQuery, WhereClauseShapesTheWitness) {
   ASSERT_TRUE(witness.has_value());
   EXPECT_TRUE(replay.consistent) << replay.detail;
   EXPECT_EQ(witness->ingress.ip_proto, 17);  // the where clause held
+}
+
+TEST(TopologyQuery, WideIngressPortReachesWithReplayedWitness) {
+  // tests/fixtures/in_port_wide.nf sends in_port > 255 on port 1 and the
+  // rest on port 2; frames entering on port 300 must reach `hi` only.
+  static const pipeline::PipelineResult nf = [] {
+    pipeline::PipelineOptions opts;
+    opts.simplify.enabled = true;
+    opts.simplify.fold_config = true;
+    return pipeline::run_source(
+        read_file(std::string(NFACTOR_SOURCE_DIR) +
+                  "/tests/fixtures/in_port_wide.nf"),
+        "in_port_wide", opts);
+  }();
+  const Topology topo = parse_topology(
+      "node a in_port_wide\n"
+      "ingress in -> a:300\n"
+      "egress hi <- a:1\n"
+      "egress lo <- a:2\n",
+      [](const std::string&) -> NodeModels {
+        return {&nf.model, nf.module.get()};
+      });
+  const QueryResult hi = run_query(topo, parse_query("reach in hi"), {});
+  ASSERT_TRUE(hi.holds);
+  ReplayReport replay;
+  const auto witness = find_witness(topo, hi, &replay);
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_TRUE(replay.consistent) << replay.detail;
+  EXPECT_EQ(witness->ingress.in_port, 300);
+  EXPECT_FALSE(run_query(topo, parse_query("reach in lo"), {}).holds);
 }
 
 TEST(TopologyQuery, FanOutSplitsAcrossMirrorPorts) {
